@@ -161,7 +161,7 @@ type jit_meas = {
 }
 
 let jit_variant kind ~opseq ~preload ~backend ~fuse =
-  let inst = Kflex_apps.Datastructs.create kind in
+  let inst = Kflex_apps.Datastructs.create ~backend kind in
   let loaded = Kflex_apps.Datastructs.loaded inst in
   let compile_ms, fused =
     match backend with
@@ -173,14 +173,14 @@ let jit_variant kind ~opseq ~preload ~backend ~fuse =
           Kflex_runtime.Jit.fused_pairs jit )
   in
   ds_preload inst ~n:preload;
-  (* packets built outside the timed window; the PRNG stream (skiplist
-     tower levels) restarts identically for every variant *)
+  (* packets built outside the timed window; every variant is a fresh
+     instance with its own PRNG stream, so the skiplist tower levels drawn
+     here come out identically for all of them *)
   let pkts =
     Array.map
       (fun (op, key) -> Kflex_apps.Datastructs.op_packet ~op ~key ~value:1L)
       opseq
   in
-  Kflex_runtime.Vm.seed_prandom 0x2545F4914F6CDD1DL;
   let stats = Kflex_runtime.Vm.fresh_stats () in
   (* level the GC playing field: later variants otherwise inherit the
      earlier variants' heap and pay their major collections *)
@@ -188,7 +188,7 @@ let jit_variant kind ~opseq ~preload ~backend ~fuse =
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for i = 0 to Array.length pkts - 1 do
-    match Kflex.run_packet loaded ~stats ~backend pkts.(i) with
+    match Kflex.run_packet loaded ~stats pkts.(i) with
     | Kflex_runtime.Vm.Finished _ -> ()
     | Kflex_runtime.Vm.Cancelled _ ->
         failwith ("jit bench: op cancelled on " ^ Kflex_apps.Datastructs.name kind)

@@ -317,7 +317,7 @@ let run_cmd =
           Kflex_runtime.Heap.create ~size:(Int64.shift_left 1L heap_bits) ()
         in
         match
-          Kflex.load ~kernel ~heap ~globals_size:globals
+          Kflex.load ~kernel ~heap ~globals_size:globals ~backend
             ~hook:Kflex_kernel.Hook.Xdp prog
         with
         | Error e ->
@@ -352,7 +352,7 @@ let run_cmd =
                 ~src_port:1 ~dst_port:2 bytes
             in
             let stats = Kflex_runtime.Vm.fresh_stats () in
-            match Kflex.run_packet loaded ~stats ~backend pkt with
+            match Kflex.run_packet loaded ~stats pkt with
             | Kflex_runtime.Vm.Finished v ->
                 Format.printf "finished: ret=%Ld (%d insns, %d guards, %d \
                                checkpoints; backend=%s%s)@."

@@ -570,7 +570,6 @@ let options_of_mode = function
         Kflex_kie.Instrument.no_elision = true }
 
 let create ?(mode = M_kflex) ?(heap_bits = 24) ?(backend = `Interp) kind =
-  Kflex_runtime.Vm.seed_prandom 0x9E3779B97F4A7C15L;
   let compiled = Kflex_eclang.Compile.compile_string ~name:(name kind) (source kind) in
   let kernel = Kflex_kernel.Helpers.create () in
   let heap =

@@ -42,9 +42,10 @@ val create :
   ?mode:mode -> ?heap_bits:int -> ?backend:Kflex_runtime.Vm.backend ->
   kind -> instance
 (** Compile, verify, instrument and load one structure with its own heap
-    (default 16 MiB) and kernel state. The VM PRNG is reseeded so
-    randomised structures build identical shapes across modes. [backend]
-    selects the default execution engine (interpreter unless given).
+    (default 16 MiB) and kernel state. Each instance draws from its own
+    PRNG stream, always from the same origin, so randomised structures
+    build identical shapes across modes. [backend] selects the execution
+    engine (interpreter unless given).
     @raise Failure if the verifier rejects the program (a bug). *)
 
 val op_packet : op:int -> key:int64 -> value:int64 -> Kflex_kernel.Packet.t

@@ -15,6 +15,7 @@ type admitted = {
   a_kie : Kflex_kie.Instrument.t;
   a_analysis : Kflex_verifier.Verify.analysis;
   a_hook : Kflex_kernel.Hook.kind;
+  a_backend : Vm.backend;
 }
 
 (* --- compiled-program cache -------------------------------------------- *)
@@ -177,10 +178,10 @@ let admit ?(mode = Kflex_verifier.Verify.Kflex) ?options ?heap_size
       (* the admission-time compile: chain reloads and sibling-shard
          instantiations hit the cache and share the compiled form *)
       if backend = `Compiled then ignore (compiled_for kie : Jit.t);
-      Ok { a_kie = kie; a_analysis = analysis; a_hook = hook }
+      Ok { a_kie = kie; a_analysis = analysis; a_hook = hook; a_backend = backend }
 
 let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
-    ?(extra_helpers = []) ?(backend = `Interp) ~kernel a =
+    ?(extra_helpers = []) ~kernel a =
   let alloc =
     Option.map
       (fun h ->
@@ -196,7 +197,7 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
       ~default_ret:(Kflex_kernel.Hook.default_ret a.a_hook)
       ?on_cancel ~helpers a.a_kie
   in
-  if backend = `Compiled then Vm.set_compiled ext (compiled_for a.a_kie);
+  if a.a_backend = `Compiled then Vm.set_compiled ext (compiled_for a.a_kie);
   {
     ext;
     kie = a.a_kie;
@@ -205,7 +206,7 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
     alloc;
     kernel;
     hook = a.a_hook;
-    backend;
+    backend = a.a_backend;
   }
 
 let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
@@ -232,25 +233,14 @@ let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
   | Ok a ->
       Ok
         (instantiate ?heap ?globals_size ?quantum ?on_cancel ?extra_helpers
-           ~backend ~kernel a)
+           ~kernel a)
 
-(* A run may select [`Compiled] on an extension loaded interpreted; route
-   the lazy compilation through the facade cache rather than Vm's per-ext
-   fallback. *)
-let ensure_backend t backend =
-  if backend = `Compiled && not (Vm.has_compiled t.ext) then
-    Vm.set_compiled t.ext (compiled_for t.kie)
+let run_raw t ?cpu ?stats ~ctx () =
+  Vm.exec t.ext ~ctx ?cpu ?stats ~backend:t.backend ()
 
-let run_raw t ?cpu ?stats ?backend ~ctx () =
-  let backend = match backend with Some b -> b | None -> t.backend in
-  ensure_backend t backend;
-  Vm.exec t.ext ~ctx ?cpu ?stats ~backend ()
-
-let run_packet t ?cpu ?stats ?backend pkt =
-  let backend = match backend with Some b -> b | None -> t.backend in
-  ensure_backend t backend;
+let run_packet t ?cpu ?stats pkt =
   Kflex_kernel.Helpers.set_packet t.kernel (Some pkt);
   let ctx = Kflex_kernel.Hook.build_ctx pkt in
-  let outcome = Vm.exec t.ext ~ctx ?cpu ?stats ~backend () in
+  let outcome = Vm.exec t.ext ~ctx ?cpu ?stats ~backend:t.backend () in
   Kflex_kernel.Helpers.set_packet t.kernel None;
   outcome

@@ -24,7 +24,7 @@ type loaded = {
   alloc : Kflex_runtime.Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
   hook : Kflex_kernel.Hook.kind;
-  backend : Kflex_runtime.Vm.backend;  (** default engine for run calls *)
+  backend : Kflex_runtime.Vm.backend;  (** the engine every run uses *)
 }
 
 type admitted
@@ -81,7 +81,6 @@ val instantiate :
   ?quantum:int ->
   ?on_cancel:(int64 -> int64) ->
   ?extra_helpers:(string * Kflex_runtime.Vm.helper) list ->
-  ?backend:Kflex_runtime.Vm.backend ->
   kernel:Kflex_kernel.Helpers.t ->
   admitted ->
   loaded
@@ -89,7 +88,8 @@ val instantiate :
     and create the VM extension over an already-admitted program. O(1) per
     shard — the engine calls this once per (attachment, shard) with the
     shard's own heap, kernel state and helper overrides; the compiled form
-    is shared via the cache. *)
+    is shared via the cache. The instance runs on the backend the program
+    was admitted for. *)
 
 val load :
   ?mode:Kflex_verifier.Verify.mode ->
@@ -115,6 +115,8 @@ val load :
       [options] overrides it.
     - [quantum] is the watchdog budget in cost units (§4.3).
     - [on_cancel] is the §4.3 return-code callback.
+    - [backend] (default [`Interp]) is the engine every run of this
+      extension uses.
 
     When verification fails because an acquired resource has no single
     location at a join (the §4.3 object-table corner case), the loader
@@ -125,18 +127,16 @@ val run_packet :
   loaded ->
   ?cpu:int ->
   ?stats:Kflex_runtime.Vm.stats ->
-  ?backend:Kflex_runtime.Vm.backend ->
   Kflex_kernel.Packet.t ->
   Kflex_runtime.Vm.outcome
 (** Deliver one packet to the extension at its hook: installs the packet in
-    the kernel helper state, builds the hook context and executes.
-    [backend] overrides the load-time default for this invocation. *)
+    the kernel helper state, builds the hook context and executes on the
+    backend fixed at load. *)
 
 val run_raw :
   loaded ->
   ?cpu:int ->
   ?stats:Kflex_runtime.Vm.stats ->
-  ?backend:Kflex_runtime.Vm.backend ->
   ctx:Bytes.t ->
   unit ->
   Kflex_runtime.Vm.outcome

@@ -341,7 +341,7 @@ let build_handle t ?name ?mode ?options ?globals_size ?quantum ?heap_size
                 ignore (Map_.register (Helpers.maps kernel) m : int64))
               t.shared;
             let inst =
-              Kflex.instantiate ?heap ?globals_size ?quantum ?backend
+              Kflex.instantiate ?heap ?globals_size ?quantum
                 ~extra_helpers:(shard_helpers shard) ~kernel admitted
             in
             (match configure with

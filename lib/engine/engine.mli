@@ -192,9 +192,9 @@ val epoch : t -> int
 val chain_length : t -> Kflex_kernel.Hook.kind -> int
 
 val seed_shard : t -> shard:int -> ?vtime:int64 -> int64 -> unit
-(** Reset a shard's PRNG (as {!Kflex_runtime.Vm.seed_prandom} would) and
-    virtual clock — differential tests align shard 0 with the facade's
-    global streams. *)
+(** Reset a shard's PRNG to [Int64.logor seed 1L] and its virtual clock to
+    [vtime] (default 0) — differential oracles align a shard with a facade
+    extension's equally seeded streams, or two engines event by event. *)
 
 val handle_name : handle -> string
 val handle_hook : handle -> Kflex_kernel.Hook.kind

@@ -122,11 +122,20 @@ let register_oracle_maps reg =
        (Map_.create ~kind:Map_.Rcu_shared ~cpus:4 ~max_entries:64 ())
       : int64)
 
+(* The config-seeded PRNG and a clock from 0 for one run. *)
+let streams cfg =
+  [
+    ( "bpf_get_prandom_u32",
+      Vm.prandom_helper (Kflex_runtime.U64.cell (Int64.logor cfg.prandom 1L)) );
+    ("bpf_ktime_get_ns", Vm.ktime_helper (Kflex_runtime.U64.cell 0L));
+  ]
+
 (* Fresh, fully deterministic world per run: zeroed heap with the config's
-   base and page layout, fresh socket table / maps / allocator, fresh packet
-   bytes (extensions mutate the payload in place). [helpers_shim] lets an
-   oracle shadow individual helper implementations (the lifecycle oracle's
-   allocation-failure run). *)
+   base and page layout, fresh socket table / maps / allocator / helper
+   streams, fresh packet bytes (extensions mutate the payload in place).
+   [helpers_shim] lets an oracle shadow individual helper implementations
+   (the lifecycle oracle's allocation-failure run, chain_equiv's shared
+   streams). *)
 let build_env ?(helpers_shim = fun h -> h) cfg kie =
   let heap = Heap.create ~kbase:cfg.kbase ~size:cfg.heap_size () in
   let kernel = Helpers.create () in
@@ -149,7 +158,7 @@ let build_env ?(helpers_shim = fun h -> h) cfg kie =
   let ext =
     Vm.create ~heap ~alloc ~quantum:cfg.quantum
       ~default_ret:(Hook.default_ret Hook.Xdp)
-      ~helpers:(helpers_shim (Helpers.implementations kernel))
+      ~helpers:(helpers_shim (Helpers.implementations kernel @ streams cfg))
       kie
   in
   { ext; kernel; heap; pkt; ctx = Hook.build_ctx pkt }
@@ -243,7 +252,6 @@ let containment cfg analysis kie_k =
     | Some st -> viol := check_regs cfg st regs pc);
     if !viol <> None then raise Trace_stop
   in
-  Vm.seed_prandom cfg.prandom;
   (try ignore (Vm.exec env.ext ~ctx:env.ctx ~on_insn () : Vm.outcome)
    with Trace_stop -> ());
   Option.map (fun d -> { oracle = "containment"; detail = d }) !viol
@@ -266,7 +274,6 @@ let observe cfg kie =
     decr budget;
     if !budget <= 0 then raise Trace_stop
   in
-  Vm.seed_prandom cfg.prandom;
   match
     Vm.exec env.ext ~ctx:env.ctx ~on_insn
       ~on_site:(fun () ->
@@ -400,7 +407,6 @@ let cancellation cfg kie_a sites =
       | k :: rest -> (
           let env = build_env cfg kie_a in
           let n = ref (-1) in
-          Vm.seed_prandom cfg.prandom;
           match
             Vm.exec env.ext ~ctx:env.ctx
               ~on_site:(fun () ->
@@ -455,7 +461,6 @@ let backend_equiv cfg kie =
     decr budget;
     if !budget <= 0 then raise Trace_stop
   in
-  Vm.seed_prandom cfg.prandom;
   match Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn () with
   | exception Trace_stop ->
       Some
@@ -464,7 +469,6 @@ let backend_equiv cfg kie =
   | out_i -> (
       let env_c = build_env cfg kie in
       let stats_c = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
       let out_c =
         Vm.exec env_c.ext ~ctx:env_c.ctx ~stats:stats_c ~backend:`Compiled ()
       in
@@ -492,16 +496,17 @@ let backend_equiv cfg kie =
 
 (* --- oracle 8: representation equivalence ------------------------------- *)
 
-(* Three-way differential over the unboxed-representation refactor: the
+(* Four-way differential over the unboxed-representation refactor: the
    kept-boxed reference interpreter ({!Vm.Ref_interp} — [Stdlib.Int64]
    arithmetic over a boxed [int64 array] register file and the generic
    width-dispatched memory path, sharing no ALU/comparison/accessor code
-   with the production engines) against the unboxed interpreter and the
+   with the production engines) against the unboxed interpreter with hooks,
+   the same interpreter with its hook checks compiled out, and the
    closure-compiled backend. Outcome, stats counters, packet payload and
-   heap pages must be bit-identical across all three. The reference and
-   interpreter runs are budget-bounded through [on_insn]; the compiled run
-   is bounded by the quantum (instrumentation puts a Checkpoint on every
-   loop back edge). *)
+   heap pages must be bit-identical across all four. The reference and
+   hooked runs are budget-bounded through [on_insn]; the hook-free and
+   compiled runs are bounded by the quantum (instrumentation puts a
+   Checkpoint on every loop back edge). *)
 let repr_equiv cfg kie =
   let budget0 = (4 * cfg.quantum) + 1_000_000 in
   let bounded () =
@@ -512,7 +517,6 @@ let repr_equiv cfg kie =
   in
   let env_r = build_env cfg kie in
   let stats_r = Vm.fresh_stats () in
-  Vm.seed_prandom cfg.prandom;
   match
     Vm.Ref_interp.exec env_r.ext ~ctx:env_r.ctx ~stats:stats_r
       ~on_insn:(bounded ()) ()
@@ -551,7 +555,6 @@ let repr_equiv cfg kie =
       in
       let env_i = build_env cfg kie in
       let stats_i = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
       match
         Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn:(bounded ())
           ()
@@ -564,14 +567,15 @@ let repr_equiv cfg kie =
           match check "interpreter" env_i stats_i out_i with
           | Some f -> Some f
           | None ->
-              let env_c = build_env cfg kie in
-              let stats_c = Vm.fresh_stats () in
-              Vm.seed_prandom cfg.prandom;
-              let out_c =
-                Vm.exec env_c.ext ~ctx:env_c.ctx ~stats:stats_c
-                  ~backend:`Compiled ()
+              let unhooked tag backend =
+                let env = build_env cfg kie in
+                let stats = Vm.fresh_stats () in
+                check tag env stats
+                  (Vm.exec env.ext ~ctx:env.ctx ~stats ~backend ())
               in
-              check "compiled" env_c stats_c out_c))
+              match unhooked "hook-free interpreter" `Interp with
+              | Some f -> Some f
+              | None -> unhooked "compiled" `Compiled))
 
 (* --- oracle 7: lifecycle no-false-positive ------------------------------ *)
 
@@ -746,7 +750,6 @@ let lc_run ?helpers_shim cfg prog (findings : Lifecycle.finding list) kie_k =
     | _ -> ()
   in
   let env = build_env ?helpers_shim cfg kie_k in
-  Vm.seed_prandom cfg.prandom;
   let finished =
     match Vm.exec env.ext ~ctx:env.ctx ~on_insn () with
     | Vm.Finished _ -> true
@@ -874,10 +877,10 @@ module Engine = Kflex_engine.Engine
    equivalent to running the programs sequentially through the facade with
    hand-rolled verdict composition: same composed verdict, same per-program
    outcomes and heap snapshots, same packet bytes, same (shared) stats —
-   and zero leaked resources on both sides. The facade side uses the global
-   PRNG/clock (reseeded), the engine side its shard-0 streams (reseeded
-   identically); both consume one combined stream, the way two programs on
-   one CPU would. *)
+   and zero leaked resources on both sides. The facade side shares one
+   config-seeded PRNG/clock pair between its two extensions, the engine
+   side uses its shard-0 streams (seeded identically); both consume one
+   combined stream, the way two programs on one CPU would. *)
 let chain_equiv cfg prog1 prog2 =
   match (verify cfg prog1, verify cfg prog2) with
   | Error e, _ -> Rejected (Format.asprintf "prog1: %a" Verify.pp_error e)
@@ -886,16 +889,15 @@ let chain_equiv cfg prog1 prog2 =
       let kie1 = Instrument.run ~options:Instrument.default_options an1 in
       let kie2 = Instrument.run ~options:Instrument.default_options an2 in
       (* facade reference: sequential runs, shared packet and stats *)
-      let env1 = build_env cfg kie1 in
-      let env2 = build_env cfg kie2 in
+      let shared = streams cfg in
+      let env1 = build_env ~helpers_shim:(fun h -> h @ shared) cfg kie1 in
+      let env2 = build_env ~helpers_shim:(fun h -> h @ shared) cfg kie2 in
       let pkt_f =
         Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port
           ~dst_port:cfg.dst_port
           (Bytes.of_string cfg.payload)
       in
       let stats_f = Vm.fresh_stats () in
-      Vm.seed_prandom cfg.prandom;
-      Vm.set_vtime 0L;
       let run_one env =
         Helpers.set_packet env.kernel (Some pkt_f);
         let o = Vm.exec env.ext ~ctx:(Hook.build_ctx pkt_f) ~stats:stats_f () in

@@ -142,12 +142,12 @@ val backend_equiv : config -> Kflex_kie.Instrument.t -> failure option
     qcheck differential suite in the runtime tests. *)
 
 val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
-(** The eighth oracle in isolation: three-way representation differential —
+(** The eighth oracle in isolation: four-way representation differential —
     the kept-boxed reference interpreter ({!Kflex_runtime.Vm.Ref_interp})
-    against the unboxed interpreter and the compiled backend, in fresh
-    environments, comparing outcome, stats, heap pages and packet payload.
-    [None] means all three agree bit-for-bit. Runs on every fuzz case and
-    corpus replay via [run_case]; exposed for the qcheck representation
-    suite in the runtime tests. *)
+    against the unboxed interpreter with and without hooks and the
+    compiled backend, in fresh environments, comparing outcome, stats, heap
+    pages and packet payload. [None] means all four agree bit-for-bit. Runs
+    on every fuzz case and corpus replay via [run_case]; exposed for the
+    qcheck representation suite in the runtime tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

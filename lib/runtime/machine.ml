@@ -73,8 +73,9 @@ let ctx_base = 0x1000_0000_0000L
 type state = {
   regs : U64.bank;  (* r0-r10 *)
   reg_snap : int64 array;
-      (* boxed per-insn snapshot handed to [on_insn] observers (hooked
-         interpreter only; the hot paths never touch it) *)
+      (* boxed per-insn snapshot handed to [on_insn] observers; only the
+         interpreter's [~hooked:true] instance refreshes it, the hook-free
+         instance and the compiled backend never touch it *)
   stack : Bytes.t;  (* Prog.stack_size bytes, zeroed per invocation *)
   mutable ctx : Bytes.t;
   mutable ctx_size : int;

@@ -108,12 +108,12 @@ let h_spin_unlock c =
 let h_heap_base c = set_ret c (Heap.kbase (get_heap c))
 
 (* The PRNG and virtual clock behind [bpf_get_prandom_u32] /
-   [bpf_ktime_get_ns] are exposed both as process-global helpers (the
-   facade's single-CPU world) and as constructors over caller-owned state:
-   the engine gives every shard its own stream so shards stay deterministic
-   and race-free regardless of how events interleave across domains. The
-   state is a {!U64.cell}, not an [int64 ref] — updating a ref boxes the
-   new value on every call, which would be the last allocation left on the
+   [bpf_ktime_get_ns] are constructors over caller-owned state: every
+   extension gets its own pair in [create] (per-CPU in the kernel), and the
+   engine shadows them with one pair per shard, so streams are
+   deterministic and race-free however events interleave. The state is a
+   {!U64.cell}, not an [int64 ref] — updating a ref boxes the new value on
+   every call, which would be the last allocation left on the
    helper-bearing hot paths. *)
 
 let prandom_helper (state : U64.cell) : helper =
@@ -126,31 +126,23 @@ let prandom_helper (state : U64.cell) : helper =
   U64.cell_set state x;
   set_ret c (Int64.logand x 0xffff_ffffL)
 
-let prandom_state = U64.cell 0x853c49e6748fea9bL
-let seed_prandom seed = U64.cell_set prandom_state (Int64.logor seed 1L)
-let h_prandom = prandom_helper prandom_state
-
 let ktime_helper (clock : U64.cell) : helper =
  fun c ->
   let t = Int64.add (U64.cell_get clock) 1L in
   U64.cell_set clock t;
   set_ret c t
 
-let vtime = U64.cell 0L
-let set_vtime v = U64.cell_set vtime v
-let h_ktime = ktime_helper vtime
-
 let h_cpu c = set_ret c (Int64.of_int c.cpu)
 
-let builtin_helpers =
+let builtin_helpers () =
   [
     ("kflex_malloc", h_malloc);
     ("kflex_free", h_free);
     ("kflex_spin_lock", h_spin_lock);
     ("kflex_spin_unlock", h_spin_unlock);
     ("kflex_heap_base", h_heap_base);
-    ("bpf_get_prandom_u32", h_prandom);
-    ("bpf_ktime_get_ns", h_ktime);
+    ("bpf_get_prandom_u32", prandom_helper (U64.cell 0x853c49e6748fea9bL));
+    ("bpf_ktime_get_ns", ktime_helper (U64.cell 0L));
     ("bpf_get_smp_processor_id", h_cpu);
   ]
 
@@ -176,7 +168,7 @@ type ext = {
 let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
     ~helpers kie =
   let tbl = Hashtbl.create 32 in
-  List.iter (fun (n, h) -> Hashtbl.replace tbl n h) builtin_helpers;
+  List.iter (fun (n, h) -> Hashtbl.replace tbl n h) (builtin_helpers ());
   List.iter (fun (n, h) -> Hashtbl.replace tbl n h) helpers;
   {
     kie;
@@ -207,7 +199,6 @@ let link_helpers e names =
     names
 
 let set_compiled e t = e.jit <- Some (t, link_helpers e (Jit.helper_names t))
-let has_compiled e = match e.jit with Some _ -> true | None -> false
 
 let precompile ?fuse e =
   let t = Jit.compile ?fuse e.kie.Kflex_kie.Instrument.prog in
@@ -269,208 +260,81 @@ let find_helper e name =
 
 (* --- the interpreter -------------------------------------------------- *)
 
-(* Hot loop with the hook checks hoisted out entirely: this variant runs
-   when neither [on_insn] nor [on_site] is supplied. Registers live in the
-   unboxed bank; all arithmetic goes through [Machine.eval_*], which inline
-   here and keep the values out of the heap. *)
-let interp_fast e (st : Machine.state) =
-  let insns = Prog.insns e.kie.Kflex_kie.Instrument.prog in
-  let regs = st.Machine.regs in
-  let stats = st.Machine.stats in
-  let start_cost = st.Machine.start_cost in
-  let src_val s =
-    match s with Insn.Reg r -> U64.get regs (Reg.to_int r) | Insn.Imm i -> i
-  in
-  let pc = ref 0 in
-  let running = ref true in
-  let ret = ref 0L in
-  (try
-     while !running do
-       let insn = insns.(!pc) in
-       stats.insns <- stats.insns + 1;
-       match insn with
-       | Insn.Mov (d, s) ->
-           U64.set regs (Reg.to_int d) (src_val s);
-           incr pc
-       | Insn.Neg d ->
-           let d = Reg.to_int d in
-           U64.set regs d (Int64.neg (U64.get regs d));
-           incr pc
-       | Insn.Alu (op, d, s) ->
-           let d = Reg.to_int d in
-           U64.set regs d (Machine.eval_alu op (U64.get regs d) (src_val s));
-           incr pc
-       | Insn.Ldx (sz, d, s, off) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int s)) (Int64.of_int off)
-           in
-           U64.set regs (Reg.to_int d)
-             (Machine.read st ~width:(Insn.size_bytes sz) addr);
-           incr pc
-       | Insn.Stx (sz, d, off, s) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr
-             (U64.get regs (Reg.to_int s));
-           incr pc
-       | Insn.St (sz, d, off, imm) ->
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           Machine.write st ~width:(Insn.size_bytes sz) addr imm;
-           incr pc
-       | Insn.Xstore (sz, d, off, s) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let v = U64.get regs (Reg.to_int s) in
-           let v = if Heap.is_shared h then Heap.translate_user h v else v in
-           Machine.write st ~width:(Insn.size_bytes sz) addr v;
-           incr pc
-       | Insn.Guard (_, r) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
-           stats.guards <- stats.guards + 1;
-           let r = Reg.to_int r in
-           U64.set regs r (Heap.sanitize h (U64.get regs r));
-           incr pc
-       | Insn.Checkpoint _ ->
-           (* the [*terminate] load: one unit of cost; the watchdog *)
-           stats.checkpoints <- stats.checkpoints + 1;
-           if !(e.cancel_flag) then raise (Vm_fault Ext_cancelled);
-           if total_cost stats - start_cost > e.quantum then begin
-             e.cancel_flag := true;
-             raise (Vm_fault Quantum_expired)
-           end;
-           incr pc
-       | Insn.Atomic (op, sz, d, off, s) ->
-           let width = Insn.size_bytes sz in
-           let addr =
-             Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
-           in
-           let old = Machine.read st ~width addr in
-           let s = Reg.to_int s in
-           let sv = U64.get regs s in
-           (match op with
-           | Insn.Atomic_add -> Machine.write st ~width addr (Int64.add old sv)
-           | Insn.Atomic_or -> Machine.write st ~width addr (Int64.logor old sv)
-           | Insn.Atomic_and ->
-               Machine.write st ~width addr (Int64.logand old sv)
-           | Insn.Atomic_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv)
-           | Insn.Fetch_add ->
-               Machine.write st ~width addr (Int64.add old sv);
-               U64.set regs s old
-           | Insn.Fetch_or ->
-               Machine.write st ~width addr (Int64.logor old sv);
-               U64.set regs s old
-           | Insn.Fetch_and ->
-               Machine.write st ~width addr (Int64.logand old sv);
-               U64.set regs s old
-           | Insn.Fetch_xor ->
-               Machine.write st ~width addr (Int64.logxor old sv);
-               U64.set regs s old
-           | Insn.Xchg ->
-               Machine.write st ~width addr sv;
-               U64.set regs s old
-           | Insn.Cmpxchg ->
-               if old = U64.get regs 0 then Machine.write st ~width addr sv;
-               U64.set regs 0 old);
-           incr pc
-       | Insn.Ja off -> pc := !pc + 1 + off
-       | Insn.Jcond (c, a, s, off) ->
-           if Machine.eval_cond c (U64.get regs (Reg.to_int a)) (src_val s)
-           then pc := !pc + 1 + off
-           else incr pc
-       | Insn.Call name ->
-           stats.helper_calls <- stats.helper_calls + 1;
-           call_helper e st (find_helper e name);
-           incr pc
-       | Insn.Exit ->
-           ret := U64.get regs 0;
-           running := false
-     done
-   with exn ->
-     st.Machine.fault_pc <- !pc;
-     raise exn);
-  Finished !ret
+let[@inline always] src_val regs s =
+  match s with Insn.Reg r -> U64.get regs (Reg.to_int r) | Insn.Imm i -> i
 
-(* Instrumented loop: identical semantics plus the [on_insn] / [on_site]
-   observation points. Lives separately so the fast loop never tests for
-   hook presence. [on_insn] observers receive the state's boxed snapshot
-   array, refreshed from the live bank before every instruction. *)
-let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
+let[@inline always] heap_of (st : Machine.state) =
+  match st.Machine.heap with Some h -> h | None -> raise (Vm_fault Wild_access)
+
+(* The [*terminate] load at a [Checkpoint]: one unit of cost; the watchdog
+   (quantum measured in cost units per invocation). *)
+let[@inline always] checkpoint e (st : Machine.state) =
+  let stats = st.Machine.stats in
+  stats.checkpoints <- stats.checkpoints + 1;
+  if !(e.cancel_flag) then raise (Vm_fault Ext_cancelled);
+  if total_cost stats - st.Machine.start_cost > e.quantum then begin
+    e.cancel_flag := true;
+    raise (Vm_fault Quantum_expired)
+  end
+
+(* Cancellation-injection sites: every Checkpoint (C1) plus every memory
+   access that leaves the stack/ctx windows (a potential C2 fault). *)
+let is_site (st : Machine.state) insn =
+  let regs = st.Machine.regs in
+  let outside r off sz =
+    let addr = Int64.add (U64.get regs (Reg.to_int r)) (Int64.of_int off) in
+    let width = Insn.size_bytes sz in
+    not
+      (Machine.in_window stack_base Prog.stack_size addr width
+      || Machine.in_window ctx_base st.Machine.ctx_size addr width)
+  in
+  match insn with
+  | Insn.Checkpoint _ -> true
+  | Insn.Ldx (sz, _, s, off) -> outside s off sz
+  | Insn.Stx (sz, d, off, _)
+  | Insn.St (sz, d, off, _)
+  | Insn.Xstore (sz, d, off, _)
+  | Insn.Atomic (_, sz, d, off, _) ->
+      outside d off sz
+  | _ -> false
+
+(* The one interpreter loop. [exec] calls it twice over: with a literal
+   [~hooked:false] every [if hooked] folds away at compile time, leaving no
+   per-instruction hook test on the default path; with [~hooked:true] each
+   instruction first passes the observation points, in this order:
+   [on_insn] (sees the boxed snapshot array, refreshed from the live bank),
+   the retired-insn count, the checkpoint watchdog, then [on_site], which
+   sees sites in execution order and may cancel as if a sibling CPU had
+   (§4.3). Registers live in the unboxed bank; all arithmetic goes through
+   [Machine.eval_*], which inline here and keep the values out of the
+   heap. *)
+let[@inline always] interp ~hooked e (st : Machine.state) ~on_insn ~on_site =
   let insns = Prog.insns e.kie.Kflex_kie.Instrument.prog in
   let regs = st.Machine.regs in
   let stats = st.Machine.stats in
-  let start_cost = st.Machine.start_cost in
-  let ctx_size = st.Machine.ctx_size in
-  let src_val s =
-    match s with Insn.Reg r -> U64.get regs (Reg.to_int r) | Insn.Imm i -> i
-  in
   let pc = ref 0 in
   let running = ref true in
   let ret = ref 0L in
   (try
      while !running do
        let insn = insns.(!pc) in
-       (match on_insn with
-       | Some f ->
-           Machine.sync_snap st;
-           f !pc st.Machine.reg_snap
-       | None -> ());
+       if hooked then begin
+         match on_insn with
+         | Some f ->
+             Machine.sync_snap st;
+             f !pc st.Machine.reg_snap
+         | None -> ()
+       end;
        stats.insns <- stats.insns + 1;
-       (* The watchdog: quantum measured in cost units per invocation. *)
-       (match insn with
-       | Insn.Checkpoint _ ->
-           stats.checkpoints <- stats.checkpoints + 1;
-           if !(e.cancel_flag) then raise (Vm_fault Ext_cancelled);
-           if total_cost stats - start_cost > e.quantum then begin
-             e.cancel_flag := true;
-             raise (Vm_fault Quantum_expired)
-           end
-       | _ -> ());
-       (* Cancellation-injection sites: every Checkpoint (C1) plus every
-          memory access that leaves the stack/ctx windows (a potential C2
-          fault). The callback sees sites in execution order; returning
-          [true] cancels as if a sibling CPU had (§4.3). *)
-       (match on_site with
-       | None -> ()
-       | Some f ->
-           let outside addr width =
-             not
-               (Machine.in_window stack_base Prog.stack_size addr width
-               || Machine.in_window ctx_base ctx_size addr width)
-           in
-           let is_site =
-             match insn with
-             | Insn.Checkpoint _ -> true
-             | Insn.Ldx (sz, _, s, off) ->
-                 outside
-                   (Int64.add (U64.get regs (Reg.to_int s)) (Int64.of_int off))
-                   (Insn.size_bytes sz)
-             | Insn.Stx (sz, d, off, _)
-             | Insn.St (sz, d, off, _)
-             | Insn.Xstore (sz, d, off, _)
-             | Insn.Atomic (_, sz, d, off, _) ->
-                 outside
-                   (Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off))
-                   (Insn.size_bytes sz)
-             | _ -> false
-           in
-           if is_site && f () then raise (Vm_fault Ext_cancelled));
+       if hooked then begin
+         (match insn with Insn.Checkpoint _ -> checkpoint e st | _ -> ());
+         match on_site with
+         | Some f -> if is_site st insn && f () then raise (Vm_fault Ext_cancelled)
+         | None -> ()
+       end;
        match insn with
        | Insn.Mov (d, s) ->
-           U64.set regs (Reg.to_int d) (src_val s);
+           U64.set regs (Reg.to_int d) (src_val regs s);
            incr pc
        | Insn.Neg d ->
            let d = Reg.to_int d in
@@ -478,7 +342,7 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
            incr pc
        | Insn.Alu (op, d, s) ->
            let d = Reg.to_int d in
-           U64.set regs d (Machine.eval_alu op (U64.get regs d) (src_val s));
+           U64.set regs d (Machine.eval_alu op (U64.get regs d) (src_val regs s));
            incr pc
        | Insn.Ldx (sz, d, s, off) ->
            let addr =
@@ -501,11 +365,7 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
            Machine.write st ~width:(Insn.size_bytes sz) addr imm;
            incr pc
        | Insn.Xstore (sz, d, off, s) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
+           let h = heap_of st in
            let addr =
              Int64.add (U64.get regs (Reg.to_int d)) (Int64.of_int off)
            in
@@ -514,17 +374,14 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
            Machine.write st ~width:(Insn.size_bytes sz) addr v;
            incr pc
        | Insn.Guard (_, r) ->
-           let h =
-             match st.Machine.heap with
-             | Some h -> h
-             | None -> raise (Vm_fault Wild_access)
-           in
+           let h = heap_of st in
            stats.guards <- stats.guards + 1;
            let r = Reg.to_int r in
            U64.set regs r (Heap.sanitize h (U64.get regs r));
            incr pc
        | Insn.Checkpoint _ ->
-           (* cost and watchdog handled above *)
+           (* the hooked loop already ran the watchdog, before [on_site] *)
+           if not hooked then checkpoint e st;
            incr pc
        | Insn.Atomic (op, sz, d, off, s) ->
            let width = Insn.size_bytes sz in
@@ -562,7 +419,7 @@ let interp_hooked e (st : Machine.state) ~on_insn ~on_site =
            incr pc
        | Insn.Ja off -> pc := !pc + 1 + off
        | Insn.Jcond (c, a, s, off) ->
-           if Machine.eval_cond c (U64.get regs (Reg.to_int a)) (src_val s)
+           if Machine.eval_cond c (U64.get regs (Reg.to_int a)) (src_val regs s)
            then pc := !pc + 1 + off
            else incr pc
        | Insn.Call name ->
@@ -858,9 +715,10 @@ let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site ?(backend = `Interp) () =
             st.Machine.helpers <- helpers;
             Jit.run t st;
             Finished st.Machine.ret
-        | `Interp, None, None -> interp_fast e st
+        | `Interp, None, None ->
+            interp ~hooked:false e st ~on_insn:None ~on_site:None
         | _ ->
             (* hooks force the interpreter: observation points only exist
                there *)
-            interp_hooked e st ~on_insn ~on_site
+            interp ~hooked:true e st ~on_insn ~on_site
       with (Vm_fault _ | Heap.Fault _) as exn -> unwind e st exn)

@@ -87,32 +87,18 @@ val stack_base : int64
 val ctx_base : int64
 (** Virtual base of the context window ([r1] at entry). *)
 
-val seed_prandom : int64 -> unit
-(** Reset the deterministic PRNG behind [bpf_get_prandom_u32] — benchmarks
-    comparing instrumentation modes of randomised structures (skiplists)
-    need identical shapes across runs. *)
-
-val set_vtime : int64 -> unit
-(** Reset the virtual clock behind [bpf_ktime_get_ns] (each call advances it
-    by one tick). Differential tests aligning the facade against the
-    engine's per-shard clocks reset both to the same origin. *)
-
 val prandom_helper : U64.cell -> helper
-(** A [bpf_get_prandom_u32] implementation over caller-owned state, using
-    the exact global algorithm (xorshift64-star). Seed the cell with
-    [Int64.logor seed 1L] to match {!seed_prandom}. The engine shadows the
-    builtin with one of these per shard, so streams are per-CPU like the
-    kernel's and never race across domains. The state lives in a {!U64.cell}
-    rather than an [int64 ref] so advancing it never allocates. *)
+(** A [bpf_get_prandom_u32] implementation (xorshift64-star) over
+    caller-owned state; seed the cell with an odd value. Every extension
+    built by {!create} owns one of these, so one extension's draws never
+    advance another's stream — callers that need a particular seed (the
+    engine per shard, the fuzz oracles per run) shadow the builtin with
+    their own through [~helpers]. The state lives in a {!U64.cell} rather
+    than an [int64 ref] so advancing it never allocates. *)
 
 val ktime_helper : U64.cell -> helper
 (** Same for [bpf_ktime_get_ns]: a one-tick-per-call virtual clock over
     caller-owned state. *)
-
-val builtin_helpers : (string * helper) list
-(** Implementations of the KFlex runtime API: [kflex_malloc], [kflex_free],
-    [kflex_spin_lock], [kflex_spin_unlock], [kflex_heap_base],
-    [bpf_get_smp_processor_id], [bpf_ktime_get_ns], [bpf_get_prandom_u32]. *)
 
 type ext
 (** A loaded (instrumented) extension ready to run. *)
@@ -129,7 +115,11 @@ val create :
 (** [quantum] is the watchdog budget in cost units per invocation (default
     100 million ≈ seconds of real execution, §4.3). [on_cancel] is the §4.3
     user callback that may rewrite the default return code. [helpers] extend
-    (and may shadow) {!builtin_helpers}. *)
+    (and may shadow) the builtin KFlex runtime API: [kflex_malloc],
+    [kflex_free], [kflex_spin_lock], [kflex_spin_unlock], [kflex_heap_base],
+    [bpf_get_smp_processor_id], and this extension's own
+    [bpf_get_prandom_u32] stream and [bpf_ktime_get_ns] clock (fresh per
+    extension, always from the same origin). *)
 
 val cancel : ext -> unit
 (** Request cancellation (all CPUs, §4.3): every running or future
@@ -160,9 +150,6 @@ val set_compiled : ext -> Jit.t -> unit
     compiled-program cache), linking its helper table against this
     extension's helpers. *)
 
-val has_compiled : ext -> bool
-(** Whether a compiled form is already installed. *)
-
 val exec :
   ext ->
   ctx:Bytes.t ->
@@ -188,8 +175,9 @@ val exec :
     ({!Ext_cancelled}) at that site, exercising object-table unwinding.
 
     [backend] selects the engine (default [`Interp]). Supplying either hook
-    forces the interpreter regardless of [backend]: observation points only
-    exist there. *)
+    runs the interpreter regardless of [backend]: observation points only
+    exist there. With or without hooks it is the same interpreter loop;
+    without them the hook checks are compiled out. *)
 
 (** The pre-refactor boxed reference semantics, kept as the ground truth for
     the [repr_equiv] differential oracle: a boxed [int64 array] register

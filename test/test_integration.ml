@@ -214,6 +214,56 @@ let t_backward_compat () =
         loaded.Kflex.kie.Kflex_kie.Instrument.report.Kflex_kie.Report.emitted
   | Error e -> Alcotest.failf "kflex load: %a" Kflex_verifier.Verify.pp_error e
 
+(* Every loaded extension owns its bpf_get_prandom_u32 stream and
+   bpf_ktime_get_ns clock: running one never advances another's, and two
+   fresh loads of the same program draw identical sequences — on either
+   backend. *)
+let t_helper_stream_isolation () =
+  let open Kflex_bpf in
+  let prog =
+    Asm.assemble ~name:"streams"
+      Asm.
+        [
+          call "bpf_get_prandom_u32";
+          mov Reg.R6 Reg.R0;
+          call "bpf_ktime_get_ns";
+          alui Insn.Lsh Reg.R6 32L;
+          alu Insn.Or Reg.R0 Reg.R6;
+          exit_;
+        ]
+  in
+  List.iter
+    (fun backend ->
+      let load () =
+        match
+          Kflex.load ~kernel:(Helpers.create ()) ~backend ~hook:Hook.Xdp prog
+        with
+        | Ok l -> l
+        | Error e -> Alcotest.failf "load: %a" Kflex_verifier.Verify.pp_error e
+      in
+      let pkt = Packet.make ~proto:Packet.Udp ~src_port:1 ~dst_port:2 Bytes.empty in
+      let draw l =
+        match Kflex.run_packet l pkt with
+        | Vm.Finished v -> v
+        | Vm.Cancelled _ -> Alcotest.fail "streams program cancelled"
+      in
+      let draws l n = List.init n (fun _ -> draw l) in
+      let a = load () and b = load () in
+      let seq_a = draws a 3 in
+      Alcotest.(check (list int64)) "clock ticks from 1 per extension"
+        [ 1L; 2L; 3L ]
+        (List.map (fun v -> Int64.logand v 0xffff_ffffL) seq_a);
+      Alcotest.(check (list int64)) "fresh loads draw identical sequences"
+        seq_a (draws b 3);
+      let c = load () and d = load () in
+      let c1 = draw c in
+      ignore (draws d 5 : int64 list);
+      let c2 = draw c in
+      Alcotest.(check (list int64)) "a sibling's runs leave the stream alone"
+        [ List.nth seq_a 0; List.nth seq_a 1 ]
+        [ c1; c2 ])
+    [ `Interp; `Compiled ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -227,5 +277,7 @@ let () =
           Alcotest.test_case "encode/load roundtrip" `Quick
             t_encode_load_roundtrip;
           Alcotest.test_case "backward compatibility" `Quick t_backward_compat;
+          Alcotest.test_case "helper stream isolation" `Quick
+            t_helper_stream_isolation;
         ] );
     ]
