@@ -266,14 +266,15 @@ let alloc_gate_words_per_insn () =
     in
     let kie = Kflex_kie.Instrument.run analysis in
     let ext = Kflex_runtime.Vm.create ~heap ~quantum:max_int ~helpers:[] kie in
+    ignore (Kflex_runtime.Vm.precompile ext : Kflex_runtime.Jit.t);
     let ctx = Bytes.make 64 '\000' in
     let stats = Kflex_runtime.Vm.fresh_stats () in
     let go () =
-      match Kflex_runtime.Vm.exec ext ~ctx ~stats ~backend:`Compiled () with
+      match Kflex_runtime.Vm.exec ext ~ctx ~stats () with
       | Kflex_runtime.Vm.Finished _ -> ()
       | Kflex_runtime.Vm.Cancelled _ -> failwith "alloc gate: cancelled"
     in
-    go () (* first run compiles and warms the pooled state *);
+    go () (* first run warms the pooled state *);
     let i0 = stats.Kflex_runtime.Vm.insns in
     let w0 = Gc.minor_words () in
     go ();

@@ -389,10 +389,10 @@ let fuzz_cmd =
                "Escalate every shared-map linearizability pass to a 4-shard \
                 threaded safety run (real cross-domain contention)")
   in
-  let run seed count out quiet backend threaded_shared =
+  let run seed count out quiet threaded_shared =
     let log = if quiet then fun _ -> () else fun l -> Format.printf "%s@." l in
     let s =
-      Kflex_fuzz.Campaign.run ~out_dir:out ~log ~backend ~threaded_shared
+      Kflex_fuzz.Campaign.run ~out_dir:out ~log ~threaded_shared
         ~seed ~count ()
     in
     Format.printf "%a@." Kflex_fuzz.Campaign.pp_summary s;
@@ -402,23 +402,23 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential soundness fuzzing: random extensions checked against \
-          the abstract-containment, guard-elision, cancellation and \
-          encode-roundtrip oracles (plus interpreter-vs-compiled equivalence \
-          with --backend compiled, and shared-map linearizability on a \
-          sharded engine). Exits 1 when any oracle fails, writing shrunk \
-          reproducers to --out.")
-    Term.(const run $ seed $ count $ out $ quiet $ backend_arg $ threaded_shared)
+          the abstract-containment, guard-elision, cancellation, \
+          encode-roundtrip, representation (reference vs interpreter vs \
+          compiled) and lifecycle oracles, plus engine-vs-facade chains and \
+          shared-map linearizability on a sharded engine. Exits 1 when any \
+          oracle fails, writing shrunk reproducers to --out.")
+    Term.(const run $ seed $ count $ out $ quiet $ threaded_shared)
 
 let replay_cmd =
-  let run file backend =
+  let run file =
     handle_errors (fun () ->
         let r = Kflex_fuzz.Corpus.read file in
-        let v = Kflex_fuzz.Corpus.replay ~backend r in
+        let v = Kflex_fuzz.Corpus.replay r in
         Format.printf "%s: %a@." file Kflex_fuzz.Oracle.pp_verdict v;
         match v with Kflex_fuzz.Oracle.Fail _ -> exit 1 | _ -> ())
   in
   Cmd.v (Cmd.info "replay" ~doc:"Re-run a fuzz reproducer (.kfxr) file")
-    Term.(const run $ file_arg $ backend_arg)
+    Term.(const run $ file_arg)
 
 (* ---- serve / chain: the multi-tenant engine ---------------------------- *)
 

@@ -51,7 +51,7 @@ val create :
 val op_packet : op:int -> key:int64 -> value:int64 -> Kflex_kernel.Packet.t
 (** The driver packet for one operation (op 0 = update, 1 = lookup,
     2 = delete) — exposed so benchmarks can drive {!Kflex.run_packet}
-    directly with explicit stats/backend. *)
+    directly with explicit stats. *)
 
 val exec_op : instance -> op:int -> key:int64 -> value:int64 -> int64 * int
 (** Run one operation; returns (result, VM cost units).

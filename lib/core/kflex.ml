@@ -8,7 +8,6 @@ type loaded = {
   alloc : Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
   hook : Kflex_kernel.Hook.kind;
-  backend : Vm.backend;
 }
 
 type admitted = {
@@ -206,7 +205,6 @@ let instantiate ?heap ?(globals_size = 0L) ?quantum ?on_cancel
     alloc;
     kernel;
     hook = a.a_hook;
-    backend = a.a_backend;
   }
 
 let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
@@ -235,12 +233,9 @@ let load ?mode ?options ?heap ?globals_size ?quantum ?on_cancel
         (instantiate ?heap ?globals_size ?quantum ?on_cancel ?extra_helpers
            ~kernel a)
 
-let run_raw t ?cpu ?stats ~ctx () =
-  Vm.exec t.ext ~ctx ?cpu ?stats ~backend:t.backend ()
-
-let run_packet t ?cpu ?stats pkt =
+let run_packet t ?cpu ?stats ?on_site pkt =
   Kflex_kernel.Helpers.set_packet t.kernel (Some pkt);
   let ctx = Kflex_kernel.Hook.build_ctx pkt in
-  let outcome = Vm.exec t.ext ~ctx ?cpu ?stats ~backend:t.backend () in
+  let outcome = Vm.exec t.ext ~ctx ?cpu ?stats ?on_site () in
   Kflex_kernel.Helpers.set_packet t.kernel None;
   outcome

@@ -18,13 +18,14 @@
 
 type loaded = {
   ext : Kflex_runtime.Vm.ext;
+      (** holds the compiled form when loaded for [`Compiled]; every
+          hook-free run follows it ({!Kflex_runtime.Vm.exec}) *)
   kie : Kflex_kie.Instrument.t;
   analysis : Kflex_verifier.Verify.analysis;
   heap : Kflex_runtime.Heap.t option;
   alloc : Kflex_runtime.Alloc.t option;
   kernel : Kflex_kernel.Helpers.t;
   hook : Kflex_kernel.Hook.kind;
-  backend : Kflex_runtime.Vm.backend;  (** the engine every run uses *)
 }
 
 type admitted
@@ -127,20 +128,16 @@ val run_packet :
   loaded ->
   ?cpu:int ->
   ?stats:Kflex_runtime.Vm.stats ->
+  ?on_site:(unit -> bool) ->
   Kflex_kernel.Packet.t ->
   Kflex_runtime.Vm.outcome
 (** Deliver one packet to the extension at its hook: installs the packet in
     the kernel helper state, builds the hook context and executes on the
-    backend fixed at load. *)
-
-val run_raw :
-  loaded ->
-  ?cpu:int ->
-  ?stats:Kflex_runtime.Vm.stats ->
-  ctx:Bytes.t ->
-  unit ->
-  Kflex_runtime.Vm.outcome
-(** Execute with an arbitrary context block (non-network hooks, tests). *)
+    backend fixed at load. [on_site] is passed through to
+    {!Kflex_runtime.Vm.exec}: it is consulted at every cancellation site and
+    returning [true] cancels the run there (the engine's deterministic
+    deadline watchdog polls its reaper through it). Supplying it runs the
+    hooked interpreter, whatever the backend. *)
 
 val globals_base : int64
 (** Heap offset where extension globals start (64; offsets 0–63 are reserved

@@ -94,16 +94,19 @@ let record_verdict shard v =
   let n = try Hashtbl.find shard.verdicts v with Not_found -> 0 in
   Hashtbl.replace shard.verdicts v (n + 1)
 
-(* Run one chain entry on a shard, under whichever watchdog regime the
-   engine was built with. Deterministic + deadline: the shard itself polls
-   the reaper from the VM's cancellation-site hook, with "now" derived from
-   cost charged so far — byte-identical schedules across runs. Threaded +
-   deadline: the reaper domain scans on the wall clock and flips the
-   extension's cancel flag asynchronously, like a sibling CPU would. *)
+(* Run one chain entry on a shard: one [Kflex.run_packet] call, under
+   whichever watchdog regime the engine was built with. Deterministic +
+   deadline: the shard itself polls the reaper from the VM's
+   cancellation-site hook, with "now" derived from cost charged so far —
+   byte-identical schedules across runs. Threaded + deadline: the reaper
+   domain scans on the wall clock and flips the extension's cancel flag
+   asynchronously, like a sibling CPU would. No deadline: nothing is armed
+   and nothing is allocated for the watchdog. *)
 let exec_entry t shard (inst : Kflex.loaded) pkt =
   let start_cost = Vm.total_cost shard.stats in
-  let outcome =
+  let tok, on_site =
     match (t.deadline_ns, t.mode) with
+    | None, _ -> (None, None)
     | Some dl, `Deterministic ->
         let hit = ref false in
         let tok =
@@ -117,27 +120,19 @@ let exec_entry t shard (inst : Kflex.loaded) pkt =
           Reaper.scan t.reaper ~now:(shard.vclock_ns +. (spent *. Cost.insn_ns));
           !hit
         in
-        Helpers.set_packet inst.Kflex.kernel (Some pkt);
-        let ctx = Hook.build_ctx pkt in
-        let o =
-          Vm.exec inst.Kflex.ext ~ctx ~cpu:shard.sid ~stats:shard.stats
-            ~on_site ()
-        in
-        Helpers.set_packet inst.Kflex.kernel None;
-        Reaper.end_exec t.reaper tok;
-        o
+        (Some tok, Some on_site)
     | Some dl, `Threaded ->
-        let tok =
-          Reaper.start_exec t.reaper
-            ~now:(Unix.gettimeofday () *. 1e9)
-            ~deadline_ns:dl
-            ~cancel:(fun () -> Vm.cancel inst.Kflex.ext)
-        in
-        let o = Kflex.run_packet inst ~cpu:shard.sid ~stats:shard.stats pkt in
-        Reaper.end_exec t.reaper tok;
-        o
-    | None, _ -> Kflex.run_packet inst ~cpu:shard.sid ~stats:shard.stats pkt
+        ( Some
+            (Reaper.start_exec t.reaper
+               ~now:(Unix.gettimeofday () *. 1e9)
+               ~deadline_ns:dl
+               ~cancel:(fun () -> Vm.cancel inst.Kflex.ext)),
+          None )
   in
+  let outcome =
+    Kflex.run_packet inst ~cpu:shard.sid ~stats:shard.stats ?on_site pkt
+  in
+  (match tok with Some tok -> Reaper.end_exec t.reaper tok | None -> ());
   let cost = Vm.total_cost shard.stats - start_cost in
   shard.vclock_ns <- shard.vclock_ns +. (float_of_int cost *. Cost.insn_ns);
   (* Re-arm after any cancellation (the facade leaves the flag set and the

@@ -101,7 +101,7 @@ let read path =
       { oracle = !oracle; config = !cfg; prog; prog2 = !prog2 }
   | _ -> failwith ("corpus: bad magic in " ^ path)
 
-let replay ?backend t =
+let replay t =
   match (t.oracle, t.prog2) with
   | _, Some p2 -> Oracle.chain_equiv t.config t.prog p2
   | Some "shared", None -> (
@@ -109,6 +109,6 @@ let replay ?backend t =
          comparison first, then the ordinary single-program oracles *)
       match Oracle.shared_equiv t.config t.prog with
       | Oracle.Pass | Oracle.Rejected _ ->
-          Oracle.run_case ?backend t.config t.prog
+          Oracle.run_case t.config t.prog
       | fail -> fail)
-  | _, None -> Oracle.run_case ?backend t.config t.prog
+  | _, None -> Oracle.run_case t.config t.prog

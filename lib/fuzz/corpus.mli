@@ -30,9 +30,9 @@ val write :
 val read : string -> t
 (** @raise Failure on malformed files. *)
 
-val replay : ?backend:Kflex_runtime.Vm.backend -> t -> Oracle.verdict
-(** [Oracle.run_case] under the reproducer's own config; [~backend:`Compiled]
-    additionally checks interpreter-vs-compiled equivalence. Pair files
+val replay : t -> Oracle.verdict
+(** [Oracle.run_case] under the reproducer's own config (both backends: its
+    [repr] oracle runs the compiled leg too). Pair files
     replay through {!Oracle.chain_equiv} instead; files whose recorded
     oracle is ["shared"] run {!Oracle.shared_equiv} first, then the
     single-program oracles. *)

@@ -130,6 +130,24 @@ let streams cfg =
     ("bpf_ktime_get_ns", Vm.ktime_helper (Kflex_runtime.U64.cell 0L));
   ]
 
+(* The config's world on one kernel instance and its heap: listening
+   sockets on [cfg.port], the oracle map spread, and the [cfg.pages]
+   layout. Shared by the facade-side environments and the engine's
+   per-shard [configure], so both sides of a comparison start alike. *)
+let setup_world cfg kernel heap =
+  Socket.listen (Helpers.sockets kernel) ~proto:Packet.Udp ~port:cfg.port;
+  Socket.listen (Helpers.sockets kernel) ~proto:Packet.Tcp ~port:cfg.port;
+  register_oracle_maps (Helpers.maps kernel);
+  Option.iter
+    (fun heap ->
+      List.iter
+        (fun p ->
+          let off = Int64.mul (Int64.of_int p) 4096L in
+          if off >= 0L && off < cfg.heap_size then
+            Heap.populate heap ~off ~len:4096L)
+        cfg.pages)
+    heap
+
 (* Fresh, fully deterministic world per run: zeroed heap with the config's
    base and page layout, fresh socket table / maps / allocator / helper
    streams, fresh packet bytes (extensions mutate the payload in place).
@@ -139,17 +157,10 @@ let streams cfg =
 let build_env ?(helpers_shim = fun h -> h) cfg kie =
   let heap = Heap.create ~kbase:cfg.kbase ~size:cfg.heap_size () in
   let kernel = Helpers.create () in
-  Socket.listen (Helpers.sockets kernel) ~proto:Packet.Udp ~port:cfg.port;
-  Socket.listen (Helpers.sockets kernel) ~proto:Packet.Tcp ~port:cfg.port;
-  register_oracle_maps (Helpers.maps kernel);
   (* the reserved words and globals (offsets < 64) are always backed *)
   Heap.populate heap ~off:0L ~len:64L;
   let alloc = Alloc.create ~data_start:64L heap in
-  List.iter
-    (fun p ->
-      let off = Int64.mul (Int64.of_int p) 4096L in
-      if off >= 0L && off < cfg.heap_size then Heap.populate heap ~off ~len:4096L)
-    cfg.pages;
+  setup_world cfg kernel (Some heap);
   let pkt =
     Packet.make ~proto:Packet.Udp ~src_port:cfg.src_port ~dst_port:cfg.dst_port
       (Bytes.of_string cfg.payload)
@@ -266,26 +277,34 @@ type obs = {
   sock_refs : int;
 }
 
-let observe cfg kie =
-  let env = build_env cfg kie in
-  let sites = ref 0 in
-  let budget = ref ((4 * cfg.quantum) + 1_000_000) in
+(* Run [exec] with an [on_insn] hook that counts down a safety budget
+   well past anything the quantum allows; exhausting it is a harness
+   failure (the watchdog should have fired first), not an oracle verdict. *)
+let bounded cfg exec =
+  let budget0 = (4 * cfg.quantum) + 1_000_000 in
+  let budget = ref budget0 in
   let on_insn _ _ =
     decr budget;
     if !budget <= 0 then raise Trace_stop
   in
-  match
-    Vm.exec env.ext ~ctx:env.ctx ~on_insn
-      ~on_site:(fun () ->
-        incr sites;
-        false)
-      ()
-  with
+  match exec on_insn with
   | exception Trace_stop ->
-      Error
-        (fail "harness" "execution exceeded the %d-insn safety budget"
-           ((4 * cfg.quantum) + 1_000_000))
-  | outcome ->
+      Error (fail "harness" "execution exceeded the %d-insn safety budget" budget0)
+  | outcome -> Ok outcome
+
+let observe cfg kie =
+  let env = build_env cfg kie in
+  let sites = ref 0 in
+  match
+    bounded cfg (fun on_insn ->
+        Vm.exec env.ext ~ctx:env.ctx ~on_insn
+          ~on_site:(fun () ->
+            incr sites;
+            false)
+          ())
+  with
+  | Error f -> Error f
+  | Ok outcome ->
       Ok
         {
           outcome;
@@ -445,55 +464,6 @@ let cancellation cfg kie_a sites =
     go ks
   end
 
-(* --- oracle 5: interpreter vs compiled backend -------------------------- *)
-
-(* Observational equivalence of the two execution engines on the
-   default-instrumented program: outcome, stats counters, heap pages and
-   packet bytes must be bit-identical. The reference interpreter run is
-   budget-bounded through [on_insn] (hooks force the interpreter anyway);
-   the compiled run relies on the watchdog — instrumented programs carry a
-   Checkpoint on every loop back-edge, so the quantum bounds it. *)
-let backend_equiv cfg kie =
-  let env_i = build_env cfg kie in
-  let stats_i = Vm.fresh_stats () in
-  let budget = ref ((4 * cfg.quantum) + 1_000_000) in
-  let on_insn _ _ =
-    decr budget;
-    if !budget <= 0 then raise Trace_stop
-  in
-  match Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn () with
-  | exception Trace_stop ->
-      Some
-        (fail "harness" "execution exceeded the %d-insn safety budget"
-           ((4 * cfg.quantum) + 1_000_000))
-  | out_i -> (
-      let env_c = build_env cfg kie in
-      let stats_c = Vm.fresh_stats () in
-      let out_c =
-        Vm.exec env_c.ext ~ctx:env_c.ctx ~stats:stats_c ~backend:`Compiled ()
-      in
-      if out_i <> out_c then
-        Some
-          (fail "backend" "outcomes diverge: %a interpreted vs %a compiled"
-             pp_outcome out_i pp_outcome out_c)
-      else if stats_i <> stats_c then
-        Some
-          (fail "backend"
-             "stats diverge: interpreted (i=%d g=%d c=%d hc=%d cost=%d) vs \
-              compiled (i=%d g=%d c=%d hc=%d cost=%d)"
-             stats_i.Vm.insns stats_i.Vm.guards stats_i.Vm.checkpoints
-             stats_i.Vm.helper_calls stats_i.Vm.helper_cost stats_c.Vm.insns
-             stats_c.Vm.guards stats_c.Vm.checkpoints stats_c.Vm.helper_calls
-             stats_c.Vm.helper_cost)
-      else if
-        Bytes.to_string env_i.pkt.Packet.payload
-        <> Bytes.to_string env_c.pkt.Packet.payload
-      then Some (fail "backend" "packet payloads diverge")
-      else
-        match first_diff_page (Heap.snapshot env_i.heap) (Heap.snapshot env_c.heap) with
-        | Some p -> Some (fail "backend" "heap contents diverge at page %Ld" p)
-        | None -> None)
-
 (* --- oracle 8: representation equivalence ------------------------------- *)
 
 (* Four-way differential over the unboxed-representation refactor: the
@@ -508,23 +478,14 @@ let backend_equiv cfg kie =
    compiled runs are bounded by the quantum (instrumentation puts a
    Checkpoint on every loop back edge). *)
 let repr_equiv cfg kie =
-  let budget0 = (4 * cfg.quantum) + 1_000_000 in
-  let bounded () =
-    let budget = ref budget0 in
-    fun _ _ ->
-      decr budget;
-      if !budget <= 0 then raise Trace_stop
-  in
   let env_r = build_env cfg kie in
   let stats_r = Vm.fresh_stats () in
   match
-    Vm.Ref_interp.exec env_r.ext ~ctx:env_r.ctx ~stats:stats_r
-      ~on_insn:(bounded ()) ()
+    bounded cfg (fun on_insn ->
+        Vm.Ref_interp.exec env_r.ext ~ctx:env_r.ctx ~stats:stats_r ~on_insn ())
   with
-  | exception Trace_stop ->
-      Some
-        (fail "harness" "execution exceeded the %d-insn safety budget" budget0)
-  | out_r -> (
+  | Error f -> Some f
+  | Ok out_r -> (
       let check tag (env : env) (stats : Vm.stats) out =
         if out <> out_r then
           Some
@@ -556,26 +517,24 @@ let repr_equiv cfg kie =
       let env_i = build_env cfg kie in
       let stats_i = Vm.fresh_stats () in
       match
-        Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn:(bounded ())
-          ()
+        bounded cfg (fun on_insn ->
+            Vm.exec env_i.ext ~ctx:env_i.ctx ~stats:stats_i ~on_insn ())
       with
-      | exception Trace_stop ->
-          Some
-            (fail "harness" "execution exceeded the %d-insn safety budget"
-               budget0)
-      | out_i -> (
+      | Error f -> Some f
+      | Ok out_i -> (
           match check "interpreter" env_i stats_i out_i with
           | Some f -> Some f
           | None ->
-              let unhooked tag backend =
+              let unhooked tag ~compiled =
                 let env = build_env cfg kie in
+                if compiled then
+                  ignore (Vm.precompile env.ext : Kflex_runtime.Jit.t);
                 let stats = Vm.fresh_stats () in
-                check tag env stats
-                  (Vm.exec env.ext ~ctx:env.ctx ~stats ~backend ())
+                check tag env stats (Vm.exec env.ext ~ctx:env.ctx ~stats ())
               in
-              match unhooked "hook-free interpreter" `Interp with
+              match unhooked "hook-free interpreter" ~compiled:false with
               | Some f -> Some f
-              | None -> unhooked "compiled" `Compiled))
+              | None -> unhooked "compiled" ~compiled:true))
 
 (* --- oracle 7: lifecycle no-false-positive ------------------------------ *)
 
@@ -940,24 +899,11 @@ let chain_equiv cfg prog1 prog2 =
       let outcomes_f = o1 :: Option.to_list o2 in
       (* engine: same layout per shard instance, one shard, chained *)
       let eng = Engine.create ~shards:1 ~quantum:cfg.quantum () in
-      let configure ~shard:_ kernel heap =
-        Socket.listen (Helpers.sockets kernel) ~proto:Packet.Udp ~port:cfg.port;
-        Socket.listen (Helpers.sockets kernel) ~proto:Packet.Tcp ~port:cfg.port;
-        register_oracle_maps (Helpers.maps kernel);
-        match heap with
-        | None -> ()
-        | Some h ->
-            List.iter
-              (fun p ->
-                let off = Int64.mul (Int64.of_int p) 4096L in
-                if off >= 0L && off < cfg.heap_size then
-                  Heap.populate h ~off ~len:4096L)
-              cfg.pages
-      in
       let att prog =
         Engine.attach eng ~options:Instrument.default_options
           ~heap_size:cfg.heap_size ~kbase:cfg.kbase ~quantum:cfg.quantum
-          ~configure ~hook:Hook.Xdp prog
+          ~configure:(fun ~shard:_ -> setup_world cfg)
+          ~hook:Hook.Xdp prog
       in
       match (att prog1, att prog2) with
       | Error e, _ | _, Error e ->
@@ -1174,7 +1120,7 @@ let shared_safety ?(shards = 4) ?(events = 64) cfg prog =
 
 (* --- the full case ------------------------------------------------------ *)
 
-let run_case_stats_exn ?(backend = `Interp) cfg prog =
+let run_case_stats_exn cfg prog =
   match roundtrip prog with
     | Some f -> (Fail f, 0)
     | None -> (
@@ -1204,27 +1150,19 @@ let run_case_stats_exn ?(backend = `Interp) cfg prog =
                     match cancellation cfg kie_a sites with
                     | Some f -> (Fail f, flagged)
                     | None -> (
-                        match
-                          if backend = `Compiled then backend_equiv cfg kie_a
-                          else None
-                        with
+                        match repr_equiv cfg kie_a with
                         | Some f -> (Fail f, flagged)
                         | None -> (
-                            match repr_equiv cfg kie_a with
+                            match lifecycle_failure cfg prog findings kie_k with
                             | Some f -> (Fail f, flagged)
-                            | None -> (
-                                match
-                                  lifecycle_failure cfg prog findings kie_k
-                                with
-                                | Some f -> (Fail f, flagged)
-                                | None -> (Pass, flagged))))))))
+                            | None -> (Pass, flagged)))))))
 
-let run_case_exn ?backend cfg prog = fst (run_case_stats_exn ?backend cfg prog)
+let run_case_exn cfg prog = fst (run_case_stats_exn cfg prog)
 
-let run_case_stats ?backend cfg prog =
-  try run_case_stats_exn ?backend cfg prog
+let run_case_stats cfg prog =
+  try run_case_stats_exn cfg prog
   with e ->
     ( Fail (fail "harness" "unexpected exception: %s" (Printexc.to_string e)),
       0 )
 
-let run_case ?backend cfg prog = fst (run_case_stats ?backend cfg prog)
+let run_case cfg prog = fst (run_case_stats cfg prog)

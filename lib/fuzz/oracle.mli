@@ -1,7 +1,7 @@
 (** The differential oracle engine.
 
     Every verifier-accepted program is executed concretely under several
-    instrumentation regimes and checked against up to five invariants:
+    instrumentation regimes and checked against six invariants:
 
     - {b roundtrip}: [Encode.encode |> Encode.decode] reproduces the program
       instruction for instruction (and the disassembler prints it without
@@ -19,10 +19,15 @@
       Checkpoint/heap-access site unwinds through the object tables with
       zero leaked resources (ledger and socket refcounts) and the hook's
       default return code;
-    - {b backend} (when [~backend:`Compiled] is requested): the
-      closure-compiled engine ({!Kflex_runtime.Jit}) is observationally
-      identical to the interpreter — outcome, stats counters, heap pages,
-      packet bytes.
+    - {b repr}: the boxed reference interpreter, the unboxed interpreter
+      with and without hooks, and the closure-compiled engine
+      ({!Kflex_runtime.Jit}) are observationally identical — outcome, stats
+      counters, heap pages, packet bytes ({!repr_equiv});
+    - {b lifecycle}: no static lifecycle finding is refuted by a concrete
+      run that follows its witness path ({!lifecycle_report}).
+
+    Every case covers both backends: the compiled leg of [repr] runs on
+    each accepted program, so there is no backend to choose here.
 
     All runs are deterministic: fresh heap/kernel state per run, the
     [bpf_get_prandom_u32] stream reseeded from the case's config. *)
@@ -49,7 +54,11 @@ val default_config : config
     reproducer file overrides it. *)
 
 type failure = {
-  oracle : string;  (** ["roundtrip" | "containment" | "elision" | "cancellation" | "backend" | "harness"] *)
+  oracle : string;
+      (** ["roundtrip" | "containment" | "elision" | "cancellation" | "repr"
+          | "lifecycle" | "harness"] from {!run_case}; ["chain"] from
+          {!chain_equiv}; ["shared"] from {!shared_equiv} and
+          {!shared_safety} *)
   detail : string;
 }
 
@@ -58,23 +67,16 @@ type verdict =
   | Rejected of string  (** the verifier refused the program (not a bug) *)
   | Fail of failure
 
-val run_case :
-  ?backend:Kflex_runtime.Vm.backend -> config -> Kflex_bpf.Prog.t -> verdict
-(** Verify the program, then run the oracles. [backend] (default [`Interp])
-    additionally enables the interpreter-vs-compiled equivalence oracle when
-    [`Compiled]. Deterministic in [(config, prog, backend)]. *)
+val run_case : config -> Kflex_bpf.Prog.t -> verdict
+(** Verify the program, then run the oracles. Deterministic in
+    [(config, prog)]. *)
 
-val run_case_stats :
-  ?backend:Kflex_runtime.Vm.backend ->
-  config ->
-  Kflex_bpf.Prog.t ->
-  verdict * int
+val run_case_stats : config -> Kflex_bpf.Prog.t -> verdict * int
 (** {!run_case} plus the number of lifecycle findings the static pass
     reported on the program (0 for rejected programs) — the campaign's
     [flagged] counter. *)
 
-val run_case_exn :
-  ?backend:Kflex_runtime.Vm.backend -> config -> Kflex_bpf.Prog.t -> verdict
+val run_case_exn : config -> Kflex_bpf.Prog.t -> verdict
 (** Like {!run_case}, but harness exceptions propagate — so a debugger (or a
     test) sees the backtrace instead of a [Fail] with oracle ["harness"]. *)
 
@@ -135,12 +137,6 @@ val lifecycle_report :
     verifier rejects the program. The no-false-positive contract tested by
     the corpus gate and the fuzz property is: no finding is ever [Refuted]. *)
 
-val backend_equiv : config -> Kflex_kie.Instrument.t -> failure option
-(** The fifth oracle in isolation: run the instrumented program under both
-    execution engines in fresh environments and compare outcome, stats,
-    heap pages and packet payload. [None] means they agree. Exposed for the
-    qcheck differential suite in the runtime tests. *)
-
 val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
 (** The eighth oracle in isolation: four-way representation differential —
     the kept-boxed reference interpreter ({!Kflex_runtime.Vm.Ref_interp})
@@ -148,6 +144,6 @@ val repr_equiv : config -> Kflex_kie.Instrument.t -> failure option
     compiled backend, in fresh environments, comparing outcome, stats, heap
     pages and packet payload. [None] means all four agree bit-for-bit. Runs
     on every fuzz case and corpus replay via [run_case]; exposed for the
-    qcheck representation suite in the runtime tests. *)
+    qcheck interp/compiled differential in the runtime tests. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

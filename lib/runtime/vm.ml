@@ -162,7 +162,8 @@ type ext = {
   mutable exec_state : Machine.state option;
       (* the reusable execution context (satellite: hoisted allocations) *)
   mutable jit : (Jit.t * helper array) option;
-      (* compiled form + helper table linked against [helpers] *)
+      (* compiled form + helper table linked against [helpers]; when
+         installed, every hook-free [exec] runs it *)
 }
 
 let create ?heap ?alloc ?(quantum = 100_000_000) ?(default_ret = 0L) ?on_cancel
@@ -204,13 +205,6 @@ let precompile ?fuse e =
   let t = Jit.compile ?fuse e.kie.Kflex_kie.Instrument.prog in
   set_compiled e t;
   t
-
-let ensure_compiled e =
-  match e.jit with
-  | Some p -> p
-  | None ->
-      ignore (precompile e);
-      (match e.jit with Some p -> p | None -> assert false)
 
 (* --- execution context reuse ------------------------------------------ *)
 
@@ -701,7 +695,9 @@ module Ref_interp = struct
             unwind e st exn)
 end
 
-let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site ?(backend = `Interp) () =
+(* The installed compiled form is the only backend selector, like the
+   kernel's [prog->bpf_func] fixed at load. *)
+let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site () =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let st = acquire_state e in
   Fun.protect
@@ -709,13 +705,12 @@ let exec e ~ctx ?(cpu = 0) ?stats ?on_insn ?on_site ?(backend = `Interp) () =
     (fun () ->
       Machine.reset_state st ~ctx ~cpu ~stats;
       try
-        match (backend, on_insn, on_site) with
-        | `Compiled, None, None ->
-            let t, helpers = ensure_compiled e in
+        match (e.jit, on_insn, on_site) with
+        | Some (t, helpers), None, None ->
             st.Machine.helpers <- helpers;
             Jit.run t st;
             Finished st.Machine.ret
-        | `Interp, None, None ->
+        | None, None, None ->
             interp ~hooked:false e st ~on_insn:None ~on_site:None
         | _ ->
             (* hooks force the interpreter: observation points only exist

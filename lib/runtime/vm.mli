@@ -134,16 +134,18 @@ val reset_cancel : ext -> unit
 val kie : ext -> Kflex_kie.Instrument.t
 
 type backend = [ `Interp | `Compiled ]
-(** Execution engine selection: the classic fetch/decode interpreter, or the
+(** The engine a loader asks for: the fetch/decode interpreter, or the
     closure-compiled direct-threaded backend ({!Jit}). Both produce
     bit-identical outcomes, stats and memory effects; the compiled backend
-    exists purely for speed. *)
+    exists purely for speed. The choice is made once, at load: a
+    [`Compiled] loader installs the compiled form ({!precompile},
+    {!set_compiled}) and {!exec} follows it. *)
 
 val precompile : ?fuse:bool -> ext -> Jit.t
-(** Compile the extension's instrumented program and install the result, so
-    subsequent [`Compiled] executions skip lazy compilation. [fuse]
-    (default [true]) enables superinstruction fusion. Returns the compiled
-    form (for fusion/compile-time reporting). *)
+(** Compile the extension's instrumented program and install the result:
+    from then on every hook-free {!exec} runs it. [fuse] (default [true])
+    enables superinstruction fusion. Returns the compiled form (for
+    fusion/compile-time reporting). *)
 
 val set_compiled : ext -> Jit.t -> unit
 (** Install an externally compiled program (e.g. from the core facade's
@@ -157,7 +159,6 @@ val exec :
   ?stats:stats ->
   ?on_insn:(int -> int64 array -> unit) ->
   ?on_site:(unit -> bool) ->
-  ?backend:backend ->
   unit ->
   outcome
 (** Run one invocation with the given context block. [stats], when supplied,
@@ -174,10 +175,11 @@ val exec :
     execution order; returning [true] injects an asynchronous cancellation
     ({!Ext_cancelled}) at that site, exercising object-table unwinding.
 
-    [backend] selects the engine (default [`Interp]). Supplying either hook
-    runs the interpreter regardless of [backend]: observation points only
-    exist there. With or without hooks it is the same interpreter loop;
-    without them the hook checks are compiled out. *)
+    Selection: with no hook, the extension's installed compiled form runs
+    when it has one ({!precompile}, {!set_compiled}); otherwise the
+    interpreter runs with its hook checks compiled out. Supplying either
+    hook always runs the interpreter with the checks in, compiled form or
+    not: observation points only exist there. *)
 
 (** The pre-refactor boxed reference semantics, kept as the ground truth for
     the [repr_equiv] differential oracle: a boxed [int64 array] register

@@ -9,7 +9,9 @@ module Campaign = Kflex_fuzz.Campaign
 module Rng = Kflex_workload.Rng
 
 (* Every committed reproducer — shrunk finds from past campaigns plus the
-   hand-written near-miss cases — must replay without any oracle failing. *)
+   hand-written near-miss cases — must replay without any oracle failing.
+   The repr oracle's compiled leg runs on each, so every historical find
+   also pins the compiled backend. *)
 let t_corpus_replay () =
   let files =
     Sys.readdir "corpus" |> Array.to_list
@@ -27,19 +29,6 @@ let t_corpus_replay () =
       | Oracle.Fail fl -> Alcotest.failf "%s: [%s] %s" f fl.Oracle.oracle fl.Oracle.detail
       | Oracle.Pass | Oracle.Rejected _ -> ())
     files
-
-(* The same reproducers replayed with the compiled backend requested: the
-   fifth oracle (interpreter-vs-compiled equivalence) runs on top of the
-   usual four, so every historical find also pins the Jit's behaviour. *)
-let t_corpus_replay_compiled () =
-  Sys.readdir "corpus" |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".kfxr")
-  |> List.iter (fun f ->
-         let r = Corpus.read (Filename.concat "corpus" f) in
-         match Corpus.replay ~backend:`Compiled r with
-         | Oracle.Fail fl ->
-             Alcotest.failf "%s: [%s] %s" f fl.Oracle.oracle fl.Oracle.detail
-         | Oracle.Pass | Oracle.Rejected _ -> ())
 
 let smoke_dir () =
   let d = Filename.concat (Filename.get_temp_dir_name ()) "kflex_fuzz_test" in
@@ -447,8 +436,6 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "corpus replay" `Quick t_corpus_replay;
-          Alcotest.test_case "corpus replay compiled" `Quick
-            t_corpus_replay_compiled;
           Alcotest.test_case "smoke campaign" `Slow t_smoke_campaign;
           Alcotest.test_case "campaign deterministic" `Quick
             t_campaign_deterministic;

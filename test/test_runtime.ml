@@ -496,13 +496,21 @@ let stats_tuple (s : Vm.stats) =
   (s.Vm.insns, s.Vm.guards, s.Vm.checkpoints, s.Vm.helper_calls,
    s.Vm.helper_cost)
 
+(* An extension over a fresh heap that runs on [backend]: the compiled form
+   is installed up front, the way a [`Compiled] load does, and [Vm.exec]
+   follows it. *)
+let on_backend ?quantum backend items =
+  let _, ext = with_heap ?quantum items in
+  if backend = `Compiled then ignore (Vm.precompile ext : Jit.t);
+  ext
+
 (* Run the same program under both engines, each in a fresh environment,
    and return outcome plus the full cost-accounting tuple. *)
 let both_backends ?quantum items =
   let go backend =
-    let _, ext = with_heap ?quantum items in
+    let ext = on_backend ?quantum backend items in
     let stats = Vm.fresh_stats () in
-    let o = Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~stats ~backend () in
+    let o = Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~stats () in
     (o, stats_tuple stats)
   in
   (go `Interp, go `Compiled)
@@ -594,22 +602,23 @@ let t_jit_state_reuse () =
       exit_;
     ]
   in
-  let go ext backend =
-    match Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~backend () with
+  let go ext =
+    match Vm.exec ext ~ctx:(Bytes.make 64 '\000') () with
     | Vm.Finished v -> v
     | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
   in
-  let _, ei = with_heap items in
-  let _, ec = with_heap items in
+  let ei = on_backend `Interp items in
+  let ec = on_backend `Compiled items in
   List.iter
     (fun expect ->
-      Alcotest.(check int64) "interp counter" expect (go ei `Interp);
-      Alcotest.(check int64) "compiled counter" expect (go ec `Compiled))
+      Alcotest.(check int64) "interp counter" expect (go ei);
+      Alcotest.(check int64) "compiled counter" expect (go ec))
     [ 0L; 1L; 2L ]
 
-(* Random verifier-accepted programs: the interpreter and the compiled
-   engine must agree on outcome, stats, heap pages and packet bytes — the
-   fifth oracle applied as a qcheck property. *)
+(* Random verifier-accepted programs: the hooked and hook-free interpreter
+   and the compiled engine must each agree with the boxed reference on
+   outcome, stats, heap pages and packet bytes — the repr oracle applied as
+   a qcheck property. *)
 let prop_jit_differential =
   QCheck.Test.make ~name:"interp/compiled differential (random programs)"
     ~count:60
@@ -630,7 +639,7 @@ let prop_jit_differential =
       | Error _ -> true (* rejection is not a backend question *)
       | Ok analysis -> (
           let kie = Kflex_kie.Instrument.run analysis in
-          match Kflex_fuzz.Oracle.backend_equiv cfg kie with
+          match Kflex_fuzz.Oracle.repr_equiv cfg kie with
           | None -> true
           | Some f ->
               QCheck.Test.fail_reportf "[%s] %s" f.Kflex_fuzz.Oracle.oracle
@@ -674,8 +683,7 @@ let corner_i64 =
 
 let both_ret items =
   let go backend =
-    let _, ext = with_heap items in
-    match Vm.exec ext ~ctx:(Bytes.make 64 '\000') ~backend () with
+    match Vm.exec (on_backend backend items) ~ctx:(Bytes.make 64 '\000') () with
     | Vm.Finished v -> v
     | Vm.Cancelled _ -> QCheck.Test.fail_report "unexpected cancellation"
   in
@@ -833,14 +841,14 @@ let minor_words_once iters =
       exit_;
     ]
   in
-  let _, ext = with_heap ~quantum:max_int items in
+  let ext = on_backend ~quantum:max_int `Compiled items in
   let ctx = Bytes.make 64 '\000' in
   let go () =
-    match Vm.exec ext ~ctx ~backend:`Compiled () with
+    match Vm.exec ext ~ctx () with
     | Vm.Finished _ -> ()
     | Vm.Cancelled _ -> Alcotest.fail "unexpected cancellation"
   in
-  (* first run compiles the program and warms the pooled state *)
+  (* first run warms the pooled state *)
   go ();
   let w0 = Gc.minor_words () in
   go ();

@@ -309,21 +309,57 @@ let burner_rank () =
   in
   find 0
 
-let t_burner_reaped () =
-  let cfg = { small_cfg with Open_loop.deadline_us = 100.0 } in
-  let eng = Open_loop.make_engine cfg ~mode:`Deterministic ~shards:1 in
-  let rank = burner_rank () in
-  let op = Wire.op_of_rank ~cmd:Wire.Get ~rank ~opaque:0l in
-  let pkt = Wire.packet_of_op Wire.Memcached op in
-  let r = Engine.run_packet eng ~hook:(Wire.hook_of Wire.Memcached) pkt in
+let burner_packet () =
+  let op = Wire.op_of_rank ~cmd:Wire.Get ~rank:(burner_rank ()) ~opaque:0l in
+  Wire.packet_of_op Wire.Memcached op
+
+let check_burner_reaped (r : Engine.run_result) =
   Alcotest.(check int) "burner reaped" 1 r.Engine.cancelled;
+  (match r.Engine.outcomes with
+  | Kflex_runtime.Vm.Cancelled { reason = Kflex_runtime.Vm.Ext_cancelled; _ }
+    :: _ ->
+      ()
+  | _ -> Alcotest.fail "burner not cancelled by the reaper");
   Alcotest.(check int) "chain continued to the cache" 2 r.Engine.executed;
   (* the cache still answered: a GET miss replies XDP_TX with hit=0 *)
   Alcotest.(check int64) "verdict from the cache" Kflex_kernel.Hook.xdp_tx
-    r.Engine.verdict;
+    r.Engine.verdict
+
+let t_burner_reaped () =
+  let cfg = { small_cfg with Open_loop.deadline_us = 100.0 } in
+  let eng = Open_loop.make_engine cfg ~mode:`Deterministic ~shards:1 in
+  check_burner_reaped
+    (Engine.run_packet eng ~hook:(Wire.hook_of Wire.Memcached)
+       (burner_packet ()));
   let t = Engine.totals eng in
   Alcotest.(check int) "no leaks across cancellation" 0 t.Engine.leaked;
   Engine.shutdown eng
+
+(* The same request on a threaded engine: the reaper domain scans on the
+   wall clock and cancels the burner through its cancel flag. The loop
+   runs far past the deadline but stays inside the tenant's quantum, so
+   only the reaper can cancel it. *)
+let t_burner_reaped_threaded () =
+  let cfg =
+    {
+      small_cfg with
+      Open_loop.deadline_us = 100.0;
+      burn_iters = 20_000_000;
+    }
+  in
+  let eng = Open_loop.make_engine cfg ~mode:`Threaded ~shards:1 in
+  let result = ref None in
+  Engine.submit eng ~hook:(Wire.hook_of Wire.Memcached)
+    ~on_done:(fun r -> result := Some r)
+    (burner_packet ());
+  Engine.drain eng;
+  let t = Engine.totals eng in
+  Engine.shutdown eng;
+  (match !result with
+  | Some r -> check_burner_reaped r
+  | None -> Alcotest.fail "request never completed");
+  Alcotest.(check int) "one cancellation" 1 t.Engine.cancelled;
+  Alcotest.(check int) "no leaks across cancellation" 0 t.Engine.leaked
 
 (* --- determinism (the ninth check) --------------------------------------- *)
 
@@ -462,6 +498,8 @@ let () =
         [
           Alcotest.test_case "generate" `Quick t_generate;
           Alcotest.test_case "burner reaped" `Quick t_burner_reaped;
+          Alcotest.test_case "burner reaped threaded" `Quick
+            t_burner_reaped_threaded;
           Alcotest.test_case "deterministic digest" `Quick
             t_deterministic_digest;
           Alcotest.test_case "overload" `Quick t_open_loop_overload;
