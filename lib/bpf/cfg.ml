@@ -80,25 +80,30 @@ let build prog =
       if not reach.(i) then dom.(i) <- Array.make nb false
     done;
   let changed = ref true in
+  let inter = Array.make nb true in
   while !changed do
     changed := false;
     for b = 1 to nb - 1 do
       if reach.(b) then begin
-        let inter = Array.make nb true in
+        Array.fill inter 0 nb true;
         let has_pred = ref false in
         List.iter
           (fun p ->
             if reach.(p) then begin
               has_pred := true;
+              let dp = dom.(p) in
               for j = 0 to nb - 1 do
-                inter.(j) <- inter.(j) && dom.(p).(j)
+                inter.(j) <- inter.(j) && dp.(j)
               done
             end)
           preds.(b);
         if not !has_pred then Array.fill inter 0 nb false;
         inter.(b) <- true;
-        if inter <> dom.(b) then begin
-          dom.(b) <- inter;
+        let db = dom.(b) in
+        let j = ref 0 in
+        while !j < nb && inter.(!j) = db.(!j) do incr j done;
+        if !j < nb then begin
+          Array.blit inter 0 db 0 nb;
           changed := true
         end
       end
@@ -127,7 +132,7 @@ let block_of_pc g pc =
 
 let preds g b = g.preds.(b)
 let dominators g b = g.dom.(b)
-let dominates g a b = List.mem a g.dom.(b)
+let dominates g a b = List.memq a g.dom.(b)
 let reachable g b = g.reach.(b)
 
 let natural_loop g ~header ~src =

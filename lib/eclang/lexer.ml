@@ -4,9 +4,11 @@ type t = { tok : token; line : int }
 
 exception Error of { line : int; msg : string }
 
-let keywords =
-  [ "struct"; "global"; "fn"; "var"; "if"; "else"; "while"; "for"; "return";
-    "break"; "continue"; "null"; "new"; "free"; "bytes" ]
+let is_keyword = function
+  | "struct" | "global" | "fn" | "var" | "if" | "else" | "while" | "for"
+  | "return" | "break" | "continue" | "null" | "new" | "free" | "bytes" ->
+      true
+  | _ -> false
 
 let puncts =
   (* longest first *)
@@ -14,6 +16,19 @@ let puncts =
     "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "->";
     "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "=";
     "("; ")"; "{"; "}"; "["; "]"; ";"; ":"; ","; "." ]
+
+(* whether [p] occurs in [src] at [i], compared in place *)
+let rec occurs_at src i p k =
+  k = String.length p
+  || i + k < String.length src
+     && src.[i + k] = p.[k]
+     && occurs_at src i p (k + 1)
+
+(* the literal in [src.[start..stop-1]] without its '_' separators *)
+let digits src start stop =
+  let s = String.sub src start (stop - start) in
+  if String.contains s '_' then String.concat "" (String.split_on_char '_' s)
+  else s
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
@@ -62,16 +77,14 @@ let tokenize src =
       then begin
         i := !i + 2;
         while !i < n && (is_hex src.[!i] || src.[!i] = '_') do incr i done;
-        let s = String.sub src start (!i - start) in
-        let s = String.concat "" (String.split_on_char '_' s) in
+        let s = digits src start !i in
         match Int64.of_string_opt s with
         | Some v -> push (INT v)
         | None -> fail ("bad hex literal " ^ s)
       end
       else begin
         while !i < n && (is_digit src.[!i] || src.[!i] = '_') do incr i done;
-        let s = String.sub src start (!i - start) in
-        let s = String.concat "" (String.split_on_char '_' s) in
+        let s = digits src start !i in
         match Int64.of_string_opt s with
         | Some v -> push (INT v)
         | None -> fail ("bad integer literal " ^ s)
@@ -81,16 +94,11 @@ let tokenize src =
       let start = !i in
       while !i < n && is_ident src.[!i] do incr i done;
       let s = String.sub src start (!i - start) in
-      if List.mem s keywords then push (KW s) else push (IDENT s)
+      if is_keyword s then push (KW s) else push (IDENT s)
     end
     else begin
-      let matched =
-        List.find_opt
-          (fun p ->
-            let l = String.length p in
-            !i + l <= n && String.sub src !i l = p)
-          puncts
-      in
+      let at = !i in
+      let matched = List.find_opt (fun p -> occurs_at src at p 0) puncts in
       match matched with
       | Some p ->
           push (PUNCT p);

@@ -31,27 +31,26 @@ let top =
   }
 
 (* Propagate information between the signed and unsigned views, following the
-   same reasoning as the eBPF verifier's __reg_deduce_bounds. *)
+   same reasoning as the eBPF verifier's __reg_deduce_bounds. A step that
+   changes nothing returns its argument: most ranges reaching here are
+   already consistent, and this runs on every transfer. *)
 let deduce r =
   let r =
-    (* Signed bounds with the same sign give unsigned bounds directly. *)
-    if r.smin >= 0L then
-      { r with umin = umax_ r.umin r.smin; umax = umin_ r.umax r.smax }
-    else if r.smax < 0L then
-      (* Both negative: as unsigned they keep their order. *)
-      { r with umin = umax_ r.umin r.smin; umax = umin_ r.umax r.smax }
+    (* Signed bounds with the same sign give unsigned bounds directly (both
+       negative: as unsigned they keep their order). *)
+    if r.smin >= 0L || r.smax < 0L then
+      let umin = umax_ r.umin r.smin and umax = umin_ r.umax r.smax in
+      if Int64.equal umin r.umin && Int64.equal umax r.umax then r
+      else { r with umin; umax }
     else r
   in
   (* Unsigned bounds that fit in the positive signed half refine the signed
      view; likewise when both are in the negative half. *)
-  let r =
-    if ucmp r.umax Int64.max_int <= 0 then
-      { r with smin = smax_ r.smin r.umin; smax = smin_ r.smax r.umax }
-    else if ucmp r.umin Int64.max_int > 0 then
-      { r with smin = smax_ r.smin r.umin; smax = smin_ r.smax r.umax }
-    else r
-  in
-  r
+  if ucmp r.umax Int64.max_int <= 0 || ucmp r.umin Int64.max_int > 0 then
+    let smin = smax_ r.smin r.umin and smax = smin_ r.smax r.umax in
+    if Int64.equal smin r.smin && Int64.equal smax r.smax then r
+    else { r with smin; smax }
+  else r
 
 let is_empty r = ucmp r.umin r.umax > 0 || r.smin > r.smax
 
@@ -62,22 +61,24 @@ let is_empty r = ucmp r.umin r.umax > 0 || r.smin > r.smax
    as an empty interval so callers share one emptiness test. *)
 let sync r =
   let r = deduce r in
-  if not !tnum_enabled then { r with bits = Tnum.unknown }
+  if not !tnum_enabled then
+    if Tnum.is_unknown r.bits then r else { r with bits = Tnum.unknown }
   else if is_empty r then r
   else
+    let umin = umax_ r.umin (Tnum.umin r.bits)
+    and umax = umin_ r.umax (Tnum.umax r.bits) in
     let r =
       deduce
-        {
-          r with
-          umin = umax_ r.umin (Tnum.umin r.bits);
-          umax = umin_ r.umax (Tnum.umax r.bits);
-        }
+        (if Int64.equal umin r.umin && Int64.equal umax r.umax then r
+         else { r with umin; umax })
     in
     if is_empty r then r
     else
-      match Tnum.intersect r.bits (Tnum.range r.umin r.umax) with
-      | Some bits -> { r with bits }
-      | None -> { r with umin = 1L; umax = 0L }
+      if Tnum.within_range r.bits r.umin r.umax then r
+      else
+        match Tnum.intersect r.bits (Tnum.range r.umin r.umax) with
+        | Some bits -> { r with bits }
+        | None -> { r with umin = 1L; umax = 0L }
 
 (* For transfer functions: both halves over-approximate the same concrete
    result set, so their intersection cannot be empty — but stay defensive
@@ -104,12 +105,30 @@ let unsigned lo hi = make ~umin:lo ~umax:hi ()
 
 let top_with_bits bits = syncd { top with bits }
 
+(* [unsigned 0 (2^(8w) - 1)] for the narrow load widths, built once: the
+   verifier asks for one on every narrow load. The known-bits-off variant
+   is what [sync] makes of the same bounds with the tnum half disabled. *)
+let zext =
+  let mk w = unsigned 0L Int64.(sub (shift_left 1L (8 * w)) 1L) in
+  let on = [| mk 1; mk 2; mk 4 |] in
+  let off = Array.map (fun r -> { r with bits = Tnum.unknown }) on in
+  fun width ->
+    let i =
+      match width with
+      | 1 -> 0
+      | 2 -> 1
+      | 4 -> 2
+      | _ -> invalid_arg "Range.zext: width must be 1, 2 or 4"
+    in
+    if !tnum_enabled then on.(i) else off.(i)
+
 let is_const r = if r.umin = r.umax then Some r.umin else None
 
 let bits r = r.bits
 
 let equal a b =
-  a.umin = b.umin && a.umax = b.umax && a.smin = b.smin && a.smax = b.smax
+  a == b
+  || a.umin = b.umin && a.umax = b.umax && a.smin = b.smin && a.smax = b.smax
   && Tnum.equal a.bits b.bits
 
 (* No sync on join: the componentwise bounds keep join a syntactic upper
@@ -308,6 +327,12 @@ let intersect a b =
       let r = sync r in
       if is_empty r then None else Some r
 
+(* [r] with one bound replaced, or [r] itself when the bound is unchanged *)
+let with_umin r v = if Int64.equal v r.umin then r else { r with umin = v }
+let with_umax r v = if Int64.equal v r.umax then r else { r with umax = v }
+let with_smin r v = if Int64.equal v r.smin then r else { r with smin = v }
+let with_smax r v = if Int64.equal v r.smax then r else { r with smax = v }
+
 let u_pred v = Int64.sub v 1L
 let u_succ v = Int64.add v 1L
 
@@ -351,42 +376,42 @@ let refine (c : Insn.cond) x y =
       if y.umax = 0L then None
       else
         pair
-          (check { x with umax = umin_ x.umax (u_pred y.umax) })
-          (check { y with umin = umax_ y.umin (u_succ x.umin) })
+          (check (with_umax x (umin_ x.umax (u_pred y.umax))))
+          (check (with_umin y (umax_ y.umin (u_succ x.umin))))
   | Insn.Le ->
       pair
-        (check { x with umax = umin_ x.umax y.umax })
-        (check { y with umin = umax_ y.umin x.umin })
+        (check (with_umax x (umin_ x.umax y.umax)))
+        (check (with_umin y (umax_ y.umin x.umin)))
   | Insn.Gt ->
       if x.umax = 0L then None
       else
         pair
-          (check { x with umin = umax_ x.umin (u_succ y.umin) })
-          (check { y with umax = umin_ y.umax (u_pred x.umax) })
+          (check (with_umin x (umax_ x.umin (u_succ y.umin))))
+          (check (with_umax y (umin_ y.umax (u_pred x.umax))))
   | Insn.Ge ->
       pair
-        (check { x with umin = umax_ x.umin y.umin })
-        (check { y with umax = umin_ y.umax x.umax })
+        (check (with_umin x (umax_ x.umin y.umin)))
+        (check (with_umax y (umin_ y.umax x.umax)))
   | Insn.Slt ->
       if y.smax = Int64.min_int then None
       else
         pair
-          (check { x with smax = smin_ x.smax (Int64.sub y.smax 1L) })
-          (check { y with smin = smax_ y.smin (Int64.add x.smin 1L) })
+          (check (with_smax x (smin_ x.smax (Int64.sub y.smax 1L))))
+          (check (with_smin y (smax_ y.smin (Int64.add x.smin 1L))))
   | Insn.Sle ->
       pair
-        (check { x with smax = smin_ x.smax y.smax })
-        (check { y with smin = smax_ y.smin x.smin })
+        (check (with_smax x (smin_ x.smax y.smax)))
+        (check (with_smin y (smax_ y.smin x.smin)))
   | Insn.Sgt ->
       if x.smax = Int64.min_int then None
       else
         pair
-          (check { x with smin = smax_ x.smin (Int64.add y.smin 1L) })
-          (check { y with smax = smin_ y.smax (Int64.sub x.smax 1L) })
+          (check (with_smin x (smax_ x.smin (Int64.add y.smin 1L))))
+          (check (with_smax y (smin_ y.smax (Int64.sub x.smax 1L))))
   | Insn.Sge ->
       pair
-        (check { x with smin = smax_ x.smin y.smin })
-        (check { y with smax = smin_ y.smax x.smax })
+        (check (with_smin x (smax_ x.smin y.smin)))
+        (check (with_smax y (smin_ y.smax x.smax)))
   | Insn.Set -> Some (x, y)
 
 let pp ppf r =

@@ -39,6 +39,11 @@ val top_with_bits : Tnum.t -> t
     widening degrades a changing scalar to, so alignment facts survive
     fixpoint iteration. *)
 
+val zext : int -> t
+(** [zext w] (w = 1, 2 or 4) is [unsigned 0L (2^(8w) - 1)]: the value of a
+    zero-extending [w]-byte load. Preallocated, so it is free to ask for.
+    @raise Invalid_argument for other widths. *)
+
 val bits : t -> Tnum.t
 
 val is_const : t -> int64 option

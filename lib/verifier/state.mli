@@ -10,7 +10,9 @@
 type slot =
   | S_empty  (** never written — reads are errors *)
   | S_misc  (** scalar bytes of unknown value *)
-  | S_spill of Value.t  (** an aligned 8-byte spill of a tracked value *)
+  | S_spill of Value.t
+      (** an aligned 8-byte spill of a tracked value (never [Uninit]: every
+          writer stores {!S_empty} instead) *)
 
 type resource = { id : int; klass : string; destructor : string }
 
@@ -34,20 +36,51 @@ val init : ctx_nullable:bool -> t
     registers uninitialised, empty stack, no resources. *)
 
 val get : t -> Kflex_bpf.Reg.t -> Value.t
-val set : t -> Kflex_bpf.Reg.t -> Value.t -> t
+
+(** {2 Working copies}
+
+    A state is persistent once published: the verifier keeps one per block
+    entry and one per pc. Transfer functions instead update a {!work} copy
+    in place. It copies a shared array on its first write after {!work}
+    or {!publish}, so a straight-line run of instructions copies the
+    registers and the stack at most once each. *)
+
+type work
+
+val work : t -> work
+(** A working copy starting from a published state. *)
+
+val view : work -> t
+(** The current contents, for reading. The arrays may be updated by the
+    next write to the working copy: use {!publish} to keep a state. *)
+
+val publish : work -> t
+(** A persistent snapshot of the current contents, in O(1): the working
+    copy copies again before its next write. *)
+
+val set : work -> Kflex_bpf.Reg.t -> Value.t -> unit
 (** Write a register (clears its origin). *)
 
-val set_from_slot : t -> Kflex_bpf.Reg.t -> Value.t -> int -> t
+val set_from_slot : work -> Kflex_bpf.Reg.t -> Value.t -> int -> unit
 (** Like {!set}, recording that the register mirrors a stack slot. *)
 
-val refine_mirrored : t -> Kflex_bpf.Reg.t -> Value.t -> t
+val refine_mirrored : work -> Kflex_bpf.Reg.t -> Value.t -> unit
 (** Narrow a register (after a branch refinement) and, when it mirrors a
     stack slot, narrow the spilled copy too. *)
 
-val write_slot : t -> int -> slot -> t
+val write_slot : work -> int -> slot -> unit
 (** Update a stack slot, invalidating registers that mirrored it. *)
 
+val clobber_slot : work -> int -> unit
+(** Make a stack slot {!S_misc} (a helper wrote through a stack pointer),
+    leaving register origins as they are. *)
+
 val equal : t -> t -> bool
+
+val leq : t -> t -> bool
+(** [leq a b]: joining [a] into [b] gives back [b] ([join b a] is [Ok c]
+    with [equal c b]). Exact and allocation-free: the fixpoint skips the
+    join for a state that adds nothing. *)
 
 val join : t -> t -> (t, string) result
 (** [Error] when the resource sets differ — a path acquired a resource the
@@ -58,8 +91,8 @@ val widen : prev:t -> t -> t
 (** Replace, in the new state, every range that grew since [prev] by the
     full range, forcing fixpoints to terminate. *)
 
-val add_res : t -> resource -> t
-val remove_res : t -> int -> t
+val add_res : work -> resource -> unit
+val remove_res : work -> int -> unit
 val has_res : t -> int -> bool
 
 (** {2 Resource locations} *)
@@ -70,15 +103,15 @@ val find_obj : t -> int -> loc option
 (** Some location (register preferred) currently holding the object with the
     given resource id. *)
 
-val leaked : t -> resource list
-(** Held resources with no remaining location — fatal: the runtime could not
-    release them on cancellation. *)
+val leaked : t -> resource option
+(** The first held resource with no remaining location — fatal: the runtime
+    could not release it on cancellation. *)
 
-val substitute_obj : t -> id:int -> Value.t -> t
+val substitute_obj : work -> id:int -> Value.t -> unit
 (** Replace every copy of object [id] (register and spilled) by the given
     value — used when a resource is released or null-pruned. *)
 
-val set_nonnull_obj : t -> id:int -> t
+val set_nonnull_obj : work -> id:int -> unit
 (** Mark every copy of object [id] as non-null (after a null check). *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,12 +20,21 @@ let within_mask t m = (t.value |: t.mask) &: lnot64 m = 0L
 
 (* position of the highest set bit, 1-based; 0 for zero *)
 let fls64 x =
-  let rec go i =
-    if i < 0 then 0
-    else if x &: Int64.shift_left 1L i <> 0L then i + 1
-    else go (i - 1)
-  in
-  go 63
+  if Int64.equal x 0L then 0
+  else begin
+    (* binary search: keep the upper half of the window when it is
+       non-zero *)
+    let x = ref x and n = ref 1 and k = ref 32 in
+    while !k > 0 do
+      let hi = Int64.shift_right_logical !x !k in
+      if not (Int64.equal hi 0L) then begin
+        x := hi;
+        n := !n + !k
+      end;
+      k := !k lsr 1
+    done;
+    !n
+  end
 
 let range lo hi =
   let chi = lo ^: hi in
@@ -34,6 +43,15 @@ let range lo hi =
   else
     let delta = Int64.shift_left 1L bits -: 1L in
     { value = lo &: lnot64 delta; mask = delta }
+
+(* [subset t (range lo hi)], without building the range: [sync]'s test
+   that the interval pins no bit the tnum leaves unknown *)
+let within_range t lo hi =
+  let bits = fls64 (lo ^: hi) in
+  bits > 63
+  ||
+  let delta = Int64.shift_left 1L bits -: 1L in
+  t.mask &: lnot64 delta = 0L && (t.value ^: lo) &: lnot64 delta = 0L
 
 let intersect a b =
   if (a.value ^: b.value) &: lnot64 a.mask &: lnot64 b.mask <> 0L then None
@@ -99,21 +117,31 @@ let arshift a k =
 
 (* tnum_mul (kernel): decompose a bit by bit; a certain 1 in [a]
    contributes a shifted copy of [b]'s uncertainty, an uncertain bit
-   contributes full uncertainty over [b]'s possible bits. *)
+   contributes full uncertainty over [b]'s possible bits. The accumulator
+   only ever gains value-0 addends, so it is kept as two unboxed words and
+   [add] is inlined on them. *)
 let mul a b =
-  let acc_v = Int64.mul a.value b.value in
-  let rec go a b acc_m =
-    if a.value = 0L && a.mask = 0L then acc_m
-    else
-      let acc_m =
-        if a.value &: 1L <> 0L then add acc_m { value = 0L; mask = b.mask }
-        else if a.mask &: 1L <> 0L then
-          add acc_m { value = 0L; mask = b.value |: b.mask }
-        else acc_m
-      in
-      go (rshift a 1) (lshift b 1) acc_m
-  in
-  add (const acc_v) (go a b (const 0L))
+  let av = ref a.value and am = ref a.mask in
+  let bv = ref b.value and bm = ref b.mask in
+  let acc_v = ref 0L and acc_m = ref 0L in
+  while not (Int64.equal !av 0L && Int64.equal !am 0L) do
+    let x =
+      if !av &: 1L <> 0L then !bm
+      else if !am &: 1L <> 0L then !bv |: !bm
+      else 0L
+    in
+    (* add {acc_v; acc_m} {0; x} *)
+    let sm = !acc_m +: x in
+    let sigma = sm +: !acc_v in
+    let mu = (sigma ^: !acc_v) |: !acc_m |: x in
+    acc_v := !acc_v &: lnot64 mu;
+    acc_m := mu;
+    av := Int64.shift_right_logical !av 1;
+    am := Int64.shift_right_logical !am 1;
+    bv := Int64.shift_left !bv 1;
+    bm := Int64.shift_left !bm 1
+  done;
+  add (const (Int64.mul a.value b.value)) { value = !acc_v; mask = !acc_m }
 
 let div _ _ = unknown
 let rem _ _ = unknown

@@ -64,6 +64,10 @@ val range : int64 -> int64 -> t
     interval — the common high-bit prefix of [lo] and [hi] is known, bits
     below the highest differing bit are unknown (kernel [tnum_range]). *)
 
+val within_range : t -> int64 -> int64 -> bool
+(** [within_range t lo hi] is [subset t (range lo hi)], computed without
+    allocating. *)
+
 val intersect : t -> t -> t option
 (** Greatest lower bound; [None] when known bits disagree (empty set). *)
 

@@ -10,6 +10,7 @@ type t =
 let scalar_top = Scalar Range.top
 
 let equal a b =
+  a == b ||
   match (a, b) with
   | Uninit, Uninit -> true
   | Unknown, Unknown -> true
@@ -19,26 +20,46 @@ let equal a b =
   | Obj o, Obj p -> o.klass = p.klass && o.id = p.id && o.nullable = p.nullable
   | _ -> false
 
+(* [leq a b]: [join b a] equals [b]. Case by case the same shapes as
+   [join], so the test is exact, not just sound. *)
+let leq a b =
+  a == b
+  ||
+  match (b, a) with
+  | Uninit, _ -> true
+  | _, Uninit -> false
+  | Scalar y, Scalar x -> Range.subset x y
+  | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ }) -> true
+  | Ptr p, Ptr q ->
+      p.kind = q.kind
+      && Range.subset q.off p.off
+      && (p.nullable || not q.nullable)
+  | Obj o, Obj p ->
+      o.klass = p.klass && o.id = p.id && (o.nullable || not p.nullable)
+  | _ -> false
+
 let join a b =
-  match (a, b) with
-  | Uninit, _ | _, Uninit -> Uninit
-  | Scalar x, Scalar y -> Scalar (Range.join x y)
-  | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ })
-  | (Scalar _ | Ptr { kind = Heap; _ }), Unknown ->
-      Unknown
-  | Ptr p, Ptr q when p.kind = q.kind ->
-      Ptr
-        {
-          kind = p.kind;
-          off = Range.join p.off q.off;
-          nullable = p.nullable || q.nullable;
-        }
-  | Ptr { kind = Heap; _ }, Scalar _ | Scalar _, Ptr { kind = Heap; _ } ->
-      (* a heap address or a number: usable only through a guard *)
-      Unknown
-  | Obj o, Obj p when o.klass = p.klass && o.id = p.id ->
-      Obj { o with nullable = o.nullable || p.nullable }
-  | _ -> Uninit
+  if leq b a then a
+  else
+    match (a, b) with
+    | Uninit, _ | _, Uninit -> Uninit
+    | Scalar x, Scalar y -> Scalar (Range.join x y)
+    | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ })
+    | (Scalar _ | Ptr { kind = Heap; _ }), Unknown ->
+        Unknown
+    | Ptr p, Ptr q when p.kind = q.kind ->
+        Ptr
+          {
+            kind = p.kind;
+            off = Range.join p.off q.off;
+            nullable = p.nullable || q.nullable;
+          }
+    | Ptr { kind = Heap; _ }, Scalar _ | Scalar _, Ptr { kind = Heap; _ } ->
+        (* a heap address or a number: usable only through a guard *)
+        Unknown
+    | Obj o, Obj p when o.klass = p.klass && o.id = p.id ->
+        Obj { o with nullable = o.nullable || p.nullable }
+    | _ -> Uninit
 
 let obj_id = function Obj o -> Some o.id | _ -> None
 

@@ -34,6 +34,10 @@ val scalar_top : t
 
 val equal : t -> t -> bool
 
+val leq : t -> t -> bool
+(** [leq a b]: joining [a] into [b] gives back [b] — [equal (join b a) b].
+    Exact, and {!join} returns its first argument itself in that case. *)
+
 val join : t -> t -> t
 (** Least upper bound. [Unknown] absorbs scalars and heap pointers; joining
     other incompatible shapes (e.g. a stack pointer with a scalar) yields

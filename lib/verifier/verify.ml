@@ -183,33 +183,28 @@ let stack_load env ~pc st off disp width =
           err ~pc E_type "partial read of spilled pointer"
       | _ -> ()
     done;
-    if width = 8 then Value.scalar_top
-    else
-      Value.Scalar
-        (Range.unsigned 0L Int64.(sub (shift_left 1L (8 * width)) 1L))
+    if width = 8 then Value.scalar_top else Value.Scalar (Range.zext width)
   end
 
-let stack_store env ~pc st off disp width v =
+let stack_store env ~pc w off disp width v =
   let byte = stack_byte ~pc off disp in
   if byte + width > Prog.stack_size then
     err ~pc E_bounds "stack access past frame end";
   touch_stack env byte;
   if width = 8 && byte mod 8 = 0 then
-    State.write_slot st (byte / 8) (State.S_spill v)
+    State.write_slot w (byte / 8) (State.S_spill v)
   else begin
     (match v with
     | Value.Ptr _ | Value.Obj _ ->
         err ~pc E_type "partial spill of pointer to stack"
     | _ -> ());
-    let st = ref st in
     for s = byte / 8 to (byte + width - 1) / 8 do
-      (match !st.State.stack.(s) with
+      (match (State.view w).State.stack.(s) with
       | State.S_spill (Value.Obj _) ->
           err ~pc E_resource "overwriting spilled kernel object"
       | _ -> ());
-      st := State.write_slot !st s State.S_misc
-    done;
-    !st
+      State.write_slot w s State.S_misc
+    done
   end
 
 (* --- memory access dispatch ---------------------------------------- *)
@@ -268,27 +263,27 @@ let check_storable ~pc v =
 
 let arg_regs = [| Reg.R1; Reg.R2; Reg.R3; Reg.R4; Reg.R5 |]
 
-let check_arg env ~pc ~helper st i (shape : Contract.arg) =
+let check_arg env ~pc ~helper w i (shape : Contract.arg) =
   let r = arg_regs.(i) in
-  let v = use ~pc st r in
+  let v = use ~pc (State.view w) r in
   let bad expect =
     err ~pc E_helper "%s arg %d: expected %s, got %a" helper (i + 1) expect
       Value.pp v
   in
   match shape with
-  | Contract.A_any -> st
+  | Contract.A_any -> ()
   | Contract.A_scalar -> (
-      match v with Value.Scalar _ | Value.Unknown -> st | _ -> bad "scalar")
+      match v with Value.Scalar _ | Value.Unknown -> () | _ -> bad "scalar")
   | Contract.A_ctx -> (
       match v with
-      | Value.Ptr { kind = Value.Ctx; nullable = false; _ } -> st
+      | Value.Ptr { kind = Value.Ctx; nullable = false; _ } -> ()
       | _ -> bad "context pointer")
   | Contract.A_heap_ptr ->
       ignore (require_heap env ~pc);
-      if heapish v then st else bad "heap pointer"
+      if not (heapish v) then bad "heap pointer"
   | Contract.A_heap_or_null ->
       ignore (require_heap env ~pc);
-      if heapish v then st else bad "heap pointer or null"
+      if not (heapish v) then bad "heap pointer or null"
   | Contract.A_stack_ptr n -> (
       match v with
       | Value.Ptr { kind = Value.Stack; off; nullable = false } ->
@@ -298,9 +293,8 @@ let check_arg env ~pc ~helper st i (shape : Contract.arg) =
             err ~pc E_bounds "%s arg %d: stack buffer past frame end" helper
               (i + 1);
           touch_stack env byte;
-          let stack = Array.copy st.State.stack in
           for s = byte / 8 to (byte + n - 1) / 8 do
-            (match stack.(s) with
+            (match (State.view w).State.stack.(s) with
             | State.S_empty ->
                 err ~pc E_helper "%s arg %d: uninitialised stack buffer" helper
                   (i + 1)
@@ -308,19 +302,18 @@ let check_arg env ~pc ~helper st i (shape : Contract.arg) =
                 err ~pc E_resource "%s arg %d: stack buffer holds kernel object"
                   helper (i + 1)
             | _ -> ());
-            stack.(s) <- State.S_misc
-          done;
-          { st with State.stack }
+            State.clobber_slot w s
+          done
       | _ -> bad "stack pointer")
   | Contract.A_obj k -> (
       match v with
-      | Value.Obj { klass; nullable = false; _ } when klass = k -> st
+      | Value.Obj { klass; nullable = false; _ } when klass = k -> ()
       | Value.Obj { klass; nullable = true; _ } when klass = k ->
           err ~pc E_helper "%s arg %d: possibly-null %s (null-check it first)"
             helper (i + 1) k
       | _ -> bad (Printf.sprintf "held %s object" k))
 
-let transfer_call env ~pc st name =
+let transfer_call env ~pc w name =
   (* Resource ids are the acquiring call's pc: deterministic across fixpoint
      iterations (states from different passes must join), and unique per
      acquisition site. At most one resource per site can be live — a second
@@ -337,37 +330,27 @@ let transfer_call env ~pc st name =
   let size_max =
     match c.Contract.args with
     | first :: _ when first = Contract.A_scalar -> (
-        match State.get st Reg.R1 with
+        match State.get (State.view w) Reg.R1 with
         | Value.Scalar r ->
             let top = Range.top in
             if Range.equal r top then None else Some r.Range.umax
         | _ -> None)
     | _ -> None
   in
-  let st =
-    List.fold_left
-      (fun (st, i) shape -> (check_arg env ~pc ~helper:name st i shape, i + 1))
-      (st, 0) c.Contract.args
-    |> fst
-  in
+  List.iteri (check_arg env ~pc ~helper:name w) c.Contract.args;
   (* release effects act on the argument object *)
-  let st =
-    match c.Contract.eff with
-    | Contract.E_release i -> (
-        let v = State.get st arg_regs.(i) in
-        match Value.obj_id v with
-        | Some id ->
-            if not (State.has_res st id) then
-              err ~pc E_resource "%s: releasing object not held" name;
-            let st = State.remove_res st id in
-            State.substitute_obj st ~id Value.Uninit
-        | None -> err ~pc E_helper "%s: release argument is not an object" name)
-    | _ -> st
-  in
+  (match c.Contract.eff with
+  | Contract.E_release i -> (
+      match State.get (State.view w) arg_regs.(i) with
+      | Value.Obj { id; _ } ->
+          if not (State.has_res (State.view w) id) then
+            err ~pc E_resource "%s: releasing object not held" name;
+          State.remove_res w id;
+          State.substitute_obj w ~id Value.Uninit
+      | _ -> err ~pc E_helper "%s: release argument is not an object" name)
+  | _ -> ());
   (* clobber caller-saved registers *)
-  let st =
-    List.fold_left (fun st r -> State.set st r Value.Uninit) st Reg.caller_saved
-  in
+  List.iter (fun r -> State.set w r Value.Uninit) Reg.caller_saved;
   (* return value + acquire effects *)
   let acquire ~nullable klass =
     let destructor =
@@ -376,18 +359,19 @@ let transfer_call env ~pc st name =
       | None -> err ~pc E_helper "%s acquires %s but has no destructor" name klass
     in
     let id = pc in
-    if State.has_res st id then
+    if State.has_res (State.view w) id then
       err ~pc E_resource
-        "%s: re-acquiring while the object from this call site is still held          (release it within the loop iteration, §3.1)"
+        "%s: re-acquiring while the object from this call site is still held \
+         (release it within the loop iteration, §3.1)"
         name;
-    let st = State.add_res st { State.id; klass; destructor } in
-    State.set st Reg.R0 (Value.Obj { klass; id; nullable })
+    State.add_res w { State.id; klass; destructor };
+    State.set w Reg.R0 (Value.Obj { klass; id; nullable })
   in
   match c.Contract.ret with
-  | Contract.R_scalar -> State.set st Reg.R0 Value.scalar_top
+  | Contract.R_scalar -> State.set w Reg.R0 Value.scalar_top
   | Contract.R_scalar_range (lo, hi) ->
-      State.set st Reg.R0 (Value.Scalar (Range.unsigned lo hi))
-  | Contract.R_unit -> State.set st Reg.R0 (Value.Scalar (Range.const 0L))
+      State.set w Reg.R0 (Value.Scalar (Range.unsigned lo hi))
+  | Contract.R_unit -> State.set w Reg.R0 (Value.Scalar (Range.const 0L))
   | Contract.R_heap_ptr_or_null ->
       let hs = require_heap env ~pc in
       (* An allocator never returns a block overhanging the heap end, so a
@@ -401,114 +385,125 @@ let transfer_call env ~pc st name =
             Range.unsigned 0L (Int64.sub hs m)
         | _ -> Range.top
       in
-      State.set st Reg.R0 (Value.Ptr { kind = Value.Heap; off; nullable = true })
+      State.set w Reg.R0 (Value.Ptr { kind = Value.Heap; off; nullable = true })
   | Contract.R_heap_base ->
       ignore (require_heap env ~pc);
-      State.set st Reg.R0
+      State.set w Reg.R0
         (Value.Ptr { kind = Value.Heap; off = Range.const 0L; nullable = false })
   | Contract.R_obj klass -> acquire ~nullable:false klass
   | Contract.R_obj_or_null klass -> acquire ~nullable:true klass
 
 (* --- conditional refinement ----------------------------------------- *)
 
-let refine_branch ~pc st cond a srcv taken =
-  (* Returns the state for the edge where [cond] holds iff [taken]. None when
-     the edge is dead. *)
+let refine_branch ~pc w cond a srcv taken =
+  (* Narrows [w] to the edge where [cond] holds iff [taken]; false when the
+     edge is dead. *)
   let c = if taken then cond else Range.negate_cond cond in
-  let va = State.get st a in
+  let va = State.get (State.view w) a in
   let vb = match srcv with `Reg (_, v) -> v | `Imm i -> Value.Scalar (Range.const i) in
   match (va, vb) with
   | Value.Scalar ra, Value.Scalar rb -> (
       match Range.refine c ra rb with
-      | None -> None
+      | None -> false
       | Some (ra', rb') ->
-          let st = State.refine_mirrored st a (Value.Scalar ra') in
-          let st =
-            match srcv with
-            | `Reg (rb_reg, _) ->
-                State.refine_mirrored st rb_reg (Value.Scalar rb')
-            | `Imm _ -> st
-          in
-          Some st)
+          State.refine_mirrored w a (Value.Scalar ra');
+          (match srcv with
+          | `Reg (rb_reg, _) -> State.refine_mirrored w rb_reg (Value.Scalar rb')
+          | `Imm _ -> ());
+          true)
   (* null checks on nullable objects: the null edge drops the resource *)
   | Value.Obj o, Value.Scalar rz when Range.is_const rz = Some 0L -> (
       match c with
       | Insn.Eq ->
-          if o.nullable then
-            let st = State.remove_res st o.id in
-            Some
-              (State.substitute_obj st ~id:o.id
-                 (Value.Scalar (Range.const 0L)))
-          else None (* a held object is never null: edge dead *)
-      | Insn.Ne -> Some (State.set_nonnull_obj st ~id:o.id)
-      | _ -> Some st)
+          o.nullable
+          && begin
+               State.remove_res w o.id;
+               State.substitute_obj w ~id:o.id (Value.Scalar (Range.const 0L));
+               true
+             end
+          (* a held object is never null: edge dead *)
+      | Insn.Ne ->
+          State.set_nonnull_obj w ~id:o.id;
+          true
+      | _ -> true)
   (* null checks on nullable pointers *)
   | Value.Ptr p, Value.Scalar rz when Range.is_const rz = Some 0L -> (
       match c with
       | Insn.Eq ->
-          if p.nullable then Some (State.set st a (Value.Scalar (Range.const 0L)))
-          else if p.kind = Value.Heap then Some st
-          else None
-      | Insn.Ne -> Some (State.set st a (Value.Ptr { p with nullable = false }))
-      | _ -> Some st)
-  | (Value.Unknown | Value.Scalar _ | Value.Ptr _ | Value.Obj _), _ -> Some st
+          if p.nullable then begin
+            State.set w a (Value.Scalar (Range.const 0L));
+            true
+          end
+          else p.kind = Value.Heap
+      | Insn.Ne ->
+          State.set w a (Value.Ptr { p with nullable = false });
+          true
+      | _ -> true)
+  | (Value.Unknown | Value.Scalar _ | Value.Ptr _ | Value.Obj _), _ -> true
   | Value.Uninit, _ -> err ~pc E_uninit "branch on uninitialised register"
 
 (* --- per-instruction transfer ---------------------------------------- *)
 
-(* Result of executing one instruction: either fall-through-and/or-jump
-   states, or termination. *)
+(* Result of executing one instruction on a working state: it falls
+   through or jumps with the working state updated in place, branches to
+   published taken/fall-through states ([None] for a dead edge), or
+   ends the path. *)
 type outcome =
-  | Fall of State.t
+  | Fall
   | Branch of State.t option * State.t option (* taken, fallthrough *)
-  | Jump of State.t
+  | Jump
   | Stop
 
-let record_access accesses env ~pc ~is_store ~is_atomic ?(stored_ptr = false)
+(* [accesses] holds one slot per pc: every execution of an instruction
+   overwrites its slot, so after the fixpoint it describes the last
+   execution — the one from the block's final entry state. *)
+let record_access accesses ~pc ~is_store ~is_atomic ?(stored_ptr = false)
     ~width ~addr_reg region =
-  match region with
-  | M_heap { elidable; formation; eff } ->
-      accesses :=
-        {
-          pc;
-          is_store;
-          is_atomic;
-          width;
-          addr_reg;
-          elidable;
-          formation;
-          stored_ptr;
-          eff;
-        }
-        :: !accesses
-  | _ -> ignore env
+  accesses.(pc) <-
+    (match region with
+    | M_heap { elidable; formation; eff } ->
+        Some
+          {
+            pc;
+            is_store;
+            is_atomic;
+            width;
+            addr_reg;
+            elidable;
+            formation;
+            stored_ptr;
+            eff;
+          }
+    | M_ctx | M_stack -> None)
 
-let transfer env accesses ~pc st (insn : Insn.t) =
+(* a zero-extending load narrower than 8 bytes *)
+let narrow width = Value.Scalar (Range.zext width)
+
+let transfer env accesses ~pc w (insn : Insn.t) =
+  let st = State.view w in
   match insn with
-  | Insn.Mov (d, s) -> Fall (State.set st d (src_value ~pc st s))
-  | Insn.Neg d -> (
-      match use ~pc st d with
-      | Value.Scalar r -> Fall (State.set st d (Value.Scalar (Range.neg r)))
-      | Value.Unknown -> Fall (State.set st d Value.Unknown)
-      | _ -> err ~pc E_type "negation of pointer")
+  | Insn.Mov (d, s) ->
+      State.set w d (src_value ~pc st s);
+      Fall
+  | Insn.Neg d ->
+      (match use ~pc st d with
+      | Value.Scalar r -> State.set w d (Value.Scalar (Range.neg r))
+      | Value.Unknown -> State.set w d Value.Unknown
+      | _ -> err ~pc E_type "negation of pointer");
+      Fall
   | Insn.Alu (op, d, s) ->
       let va = use ~pc st d and vb = src_value ~pc st s in
-      Fall (State.set st d (alu_value env ~pc op va vb))
-  | Insn.Ldx (sz, d, s, disp) -> (
+      State.set w d (alu_value env ~pc op va vb);
+      Fall
+  | Insn.Ldx (sz, d, s, disp) ->
       let width = Insn.size_bytes sz in
       let v = use ~pc st s in
       let region = classify_addr env ~pc ~width ~disp v in
-      record_access accesses env ~pc ~is_store:false ~is_atomic:false ~width
+      record_access accesses ~pc ~is_store:false ~is_atomic:false ~width
         ~addr_reg:s region;
-      match region with
+      (match region with
       | M_ctx ->
-          let bound =
-            if width = 8 then Value.scalar_top
-            else
-              Value.Scalar
-                (Range.unsigned 0L Int64.(sub (shift_left 1L (8 * width)) 1L))
-          in
-          Fall (State.set st d bound)
+          State.set w d (if width = 8 then Value.scalar_top else narrow width)
       | M_stack ->
           let off =
             match v with Value.Ptr p -> p.off | _ -> assert false
@@ -516,17 +511,12 @@ let transfer env accesses ~pc st (insn : Insn.t) =
           let loaded = stack_load env ~pc st off disp width in
           let byte = stack_byte ~pc off disp in
           if width = 8 && byte mod 8 = 0 then
-            Fall (State.set_from_slot st d loaded (byte / 8))
-          else Fall (State.set st d loaded)
+            State.set_from_slot w d loaded (byte / 8)
+          else State.set w d loaded
       | M_heap _ ->
-          let loaded =
-            if width = 8 then Value.Unknown
-            else
-              Value.Scalar
-                (Range.unsigned 0L Int64.(sub (shift_left 1L (8 * width)) 1L))
-          in
-          Fall (State.set st d loaded))
-  | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _) -> (
+          State.set w d (if width = 8 then Value.Unknown else narrow width));
+      Fall
+  | Insn.Stx (sz, d, disp, _) | Insn.St (sz, d, disp, _) ->
       let width = Insn.size_bytes sz in
       let stored =
         match insn with
@@ -539,17 +529,16 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       let stored_ptr =
         match stored with Value.Ptr { kind = Value.Heap; _ } -> true | _ -> false
       in
-      record_access accesses env ~pc ~is_store:true ~is_atomic:false ~stored_ptr
+      record_access accesses ~pc ~is_store:true ~is_atomic:false ~stored_ptr
         ~width ~addr_reg:d region;
-      match region with
+      (match region with
       | M_ctx -> err ~pc E_type "store to read-only context"
       | M_stack ->
           let off = match v with Value.Ptr p -> p.off | _ -> assert false in
-          Fall (stack_store env ~pc st off disp width stored)
-      | M_heap _ ->
-          check_storable ~pc stored;
-          Fall st)
-  | Insn.Atomic (op, sz, d, disp, s) -> (
+          stack_store env ~pc w off disp width stored
+      | M_heap _ -> check_storable ~pc stored);
+      Fall
+  | Insn.Atomic (op, sz, d, disp, s) ->
       let width = Insn.size_bytes sz in
       let vd = use ~pc st d in
       let vs = use ~pc st s in
@@ -558,17 +547,18 @@ let transfer env accesses ~pc st (insn : Insn.t) =
       (match region with
       | M_heap _ -> ()
       | _ -> err ~pc E_type "atomic access outside the extension heap");
-      record_access accesses env ~pc ~is_store:true ~is_atomic:true ~width
+      record_access accesses ~pc ~is_store:true ~is_atomic:true ~width
         ~addr_reg:d region;
-      match op with
+      (match op with
       | Insn.Fetch_add | Insn.Fetch_or | Insn.Fetch_and | Insn.Fetch_xor
       | Insn.Xchg ->
-          Fall (State.set st s Value.Unknown)
+          State.set w s Value.Unknown
       | Insn.Cmpxchg ->
           ignore (use ~pc st Reg.R0);
-          Fall (State.set st Reg.R0 Value.Unknown)
-      | _ -> Fall st)
-  | Insn.Ja _ -> Jump st
+          State.set w Reg.R0 Value.Unknown
+      | _ -> ());
+      Fall
+  | Insn.Ja _ -> Jump
   | Insn.Jcond (cond, a, s, _) ->
       ignore (use ~pc st a);
       let srcv =
@@ -576,10 +566,16 @@ let transfer env accesses ~pc st (insn : Insn.t) =
         | Insn.Reg r -> `Reg (r, use ~pc st r)
         | Insn.Imm i -> `Imm i
       in
-      let taken = refine_branch ~pc st cond a srcv true in
-      let fall = refine_branch ~pc st cond a srcv false in
+      let edge w taken =
+        if refine_branch ~pc w cond a srcv taken then Some (State.publish w)
+        else None
+      in
+      let taken = edge (State.work (State.publish w)) true in
+      let fall = edge w false in
       Branch (taken, fall)
-  | Insn.Call name -> Fall (transfer_call env ~pc st name)
+  | Insn.Call name ->
+      transfer_call env ~pc w name;
+      Fall
   | Insn.Exit ->
       (match use ~pc st Reg.R0 with
       | Value.Scalar _ | Value.Unknown -> ()
@@ -595,8 +591,8 @@ let transfer env accesses ~pc st (insn : Insn.t) =
 
 let check_leak ~pc st =
   match State.leaked st with
-  | [] -> ()
-  | r :: _ ->
+  | None -> ()
+  | Some r ->
       err ~pc E_leak
         "all copies of held %s (id %d) were lost; the runtime could not \
          release it on cancellation — spill it to the stack"
@@ -633,9 +629,13 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
     | _ -> ());
     let blocks = Cfg.blocks cfg in
     let nb = Array.length blocks in
+    let n = Prog.length prog in
     let in_states : State.t option array = Array.make nb None in
     let visits = Array.make nb 0 in
-    let accesses = ref [] in
+    (* per-pc facts, rewritten by every execution of their block *)
+    let states_at = Array.make n None in
+    let accesses = Array.make n None in
+    let verdicts = Array.make n None in
     let workset = Queue.create () in
     let enqueue b = Queue.push b workset in
     in_states.(0) <- Some (State.init ~ctx_nullable:false);
@@ -645,6 +645,10 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
       | None ->
           in_states.(succ) <- Some st;
           enqueue succ
+      | Some old when State.leq st old ->
+          (* the join would give back [old]; the visit still counts
+             towards the widening schedule *)
+          visits.(succ) <- visits.(succ) + 1
       | Some old -> (
           match State.join old st with
           | Error msg ->
@@ -659,42 +663,62 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
               err ~pc:blocks.(succ).Cfg.first kind "%s" msg
           | Ok joined ->
               (match State.leaked joined with
-              | [] -> ()
-              | r :: _ ->
+              | None -> ()
+              | Some r ->
                   err ~pc:blocks.(succ).Cfg.first E_leak
-                    "held %s (id %d) has no common location across the paths                      joining here — the runtime could not release it on                      cancellation (§4.3; the loader will retry with spilled                      acquisitions)"
+                    "held %s (id %d) has no common location across the paths \
+                     joining here — the runtime could not release it on \
+                     cancellation (§4.3; the loader will retry with spilled \
+                     acquisitions)"
                     r.State.klass r.State.id);
               visits.(succ) <- visits.(succ) + 1;
-              let joined =
+              (* [st] is not [leq old], so the join alone changed [old];
+                 only a widened state can come back equal to it *)
+              let joined, changed =
                 if visits.(succ) > widen_threshold then
-                  State.widen ~prev:old joined
-                else joined
+                  let w = State.widen ~prev:old joined in
+                  (w, not (State.equal w old))
+                else (joined, true)
               in
-              if not (State.equal joined old) then begin
+              if changed then begin
                 in_states.(succ) <- Some joined;
                 enqueue succ
               end)
     in
-    (* execute one block from its entry state, delivering successor states
-       via [deliver] and recording accesses only when [record] *)
-    let exec_block b st ~deliver =
+    (* Execute one block from its entry state on a working copy, recording
+       each pc's pre-state, heap access and branch verdict (an edge the
+       abstract semantics never delivers a state to is dead) over those of
+       the block's previous execution. Any change to a block's entry state
+       queues it again, so its last execution starts from its fixpoint
+       state and the records left at the end describe the fixpoint. *)
+    let exec_block b st =
       let blk = blocks.(b) in
-      let st = ref st in
+      let deliver pc s =
+        let succ = (Cfg.block_of_pc cfg pc).Cfg.id in
+        merge_into ~from_back_edge:(Cfg.dominates cfg succ b) succ s
+      in
+      let w = State.work st in
       let continue = ref true in
       for pc = blk.Cfg.first to blk.Cfg.last do
         if !continue then begin
+          states_at.(pc) <- Some (State.publish w);
           let insn = Prog.get prog pc in
-          (match transfer env accesses ~pc !st insn with
-          | Fall s ->
-              check_leak ~pc s;
-              if pc = blk.Cfg.last then deliver (pc + 1) s else st := s
-          | Jump s ->
-              check_leak ~pc s;
+          match transfer env accesses ~pc w insn with
+          | Fall ->
+              check_leak ~pc (State.view w);
+              if pc = blk.Cfg.last then deliver (pc + 1) (State.publish w)
+          | Jump ->
+              check_leak ~pc (State.view w);
               (match insn with
-              | Insn.Ja off -> deliver (pc + 1 + off) s
+              | Insn.Ja off -> deliver (pc + 1 + off) (State.publish w)
               | _ -> assert false);
               continue := false
           | Branch (taken, fall) ->
+              verdicts.(pc) <-
+                (match (taken, fall) with
+                | Some _, None -> Some (pc, Always_taken)
+                | None, Some _ -> Some (pc, Never_taken)
+                | _ -> None);
               let toff =
                 match insn with
                 | Insn.Jcond (_, _, _, off) -> pc + 1 + off
@@ -711,97 +735,61 @@ let run ~mode ~contracts ~ctx_size ?heap_size ?(sleepable = false) prog =
                   deliver (pc + 1) s
               | None -> ());
               continue := false
-          | Stop -> continue := false)
+          | Stop -> continue := false
         end
       done
     in
     while not (Queue.is_empty workset) do
       let b = Queue.pop workset in
-      match in_states.(b) with
-      | None -> ()
-      | Some st ->
-          exec_block b st ~deliver:(fun pc s ->
-              let succ = (Cfg.block_of_pc cfg pc).Cfg.id in
-              let from_back_edge = Cfg.dominates cfg succ b in
-              merge_into ~from_back_edge succ s)
+      Option.iter (exec_block b) in_states.(b)
     done;
-    (* Final pass: per-pc pre-states for object tables and access reporting.
-       Re-run each reachable block once from its fixpoint state, recording
-       resource locations before each instruction — plus the semantic facts
-       the lint pass consumes: branch verdicts (an edge the abstract
-       semantics never delivers a state to is dead) and no-op masks (an
-       [And] that provably cannot clear any possibly-set bit). *)
-    let res_at = Array.make (Prog.length prog) [] in
-    let states_at = Array.make (Prog.length prog) None in
-    let verdicts = ref [] in
-    let redundant_masks = ref [] in
-    accesses := [];
-    for b = 0 to nb - 1 do
-      match in_states.(b) with
-      | None -> ()
-      | Some st ->
-          let blk = blocks.(b) in
-          let stref = ref st in
-          let continue = ref true in
-          for pc = blk.Cfg.first to blk.Cfg.last do
-            if !continue then begin
-              states_at.(pc) <- Some !stref;
-              res_at.(pc) <-
-                List.filter_map
-                  (fun (r : State.resource) ->
-                    match State.find_obj !stref r.State.id with
-                    | Some loc -> Some { res = r; loc }
-                    | None -> None)
-                  !stref.State.res;
-              let insn = Prog.get prog pc in
-              (* the compiler materialises mask constants into registers, so
-                 accept both immediate and known-constant register operands *)
-              (match insn with
-              | Insn.Alu (Insn.And, d, src) -> (
-                  let mask =
-                    match src with
-                    | Insn.Imm m -> Some m
-                    | Insn.Reg s -> (
-                        match State.get !stref s with
-                        | Value.Scalar r -> Range.is_const r
-                        | _ -> None)
-                  in
-                  match (mask, State.get !stref d) with
-                  | Some m, Value.Scalar r
-                    when Tnum.within_mask (Range.bits r) m ->
-                      redundant_masks := (pc, m) :: !redundant_masks
-                  | _ -> ())
-              | _ -> ());
-              match transfer env accesses ~pc !stref insn with
-              | Fall s -> stref := s
-              | Jump _ | Stop -> continue := false
-              | Branch (taken, fall) ->
-                  (match (taken, fall) with
-                  | Some _, None -> verdicts := (pc, Always_taken) :: !verdicts
-                  | None, Some _ -> verdicts := (pc, Never_taken) :: !verdicts
-                  | _ -> ());
-                  (match fall with Some s -> stref := s | None -> ());
-                  continue := false
-            end
-          done
-    done;
-    let heap_accesses =
-      List.sort (fun a b -> Int.compare a.pc b.pc) !accesses
-      (* the final pass visits each block exactly once, so no dedup needed *)
+    (* From the fixpoint pre-states: resource locations (object tables) and
+       no-op masks — an [And] that provably cannot clear any possibly-set
+       bit. The compiler materialises mask constants into registers, so both
+       immediate and known-constant register operands count. *)
+    let res_at =
+      Array.map
+        (function
+          | None -> []
+          | Some st ->
+              List.filter_map
+                (fun (r : State.resource) ->
+                  match State.find_obj st r.State.id with
+                  | Some loc -> Some { res = r; loc }
+                  | None -> None)
+                st.State.res)
+        states_at
     in
+    let redundant_mask pc =
+      match (states_at.(pc), Prog.get prog pc) with
+      | Some st, Insn.Alu (Insn.And, d, src) -> (
+          let mask =
+            match src with
+            | Insn.Imm m -> Some m
+            | Insn.Reg s -> (
+                match State.get st s with
+                | Value.Scalar r -> Range.is_const r
+                | _ -> None)
+          in
+          match (mask, State.get st d) with
+          | Some m, Value.Scalar r when Tnum.within_mask (Range.bits r) m ->
+              Some (pc, m)
+          | _ -> None)
+      | _ -> None
+    in
+    let in_pc_order a = List.filter_map Fun.id (Array.to_list a) in
     Ok
       {
         prog;
         cfg;
-        heap_accesses;
+        heap_accesses = in_pc_order accesses;
         unbounded = (match mode with Ebpf -> [] | Kflex -> unbounded);
         res_at;
         states_at;
         stack_used = Prog.stack_size - !(env.min_stack);
         insn_count = Prog.length prog;
         reached = Array.map Option.is_some in_states;
-        verdicts = List.sort (fun (a, _) (b, _) -> Int.compare a b) !verdicts;
-        redundant_masks =
-          List.sort (fun (a, _) (b, _) -> Int.compare a b) !redundant_masks;
+        verdicts = in_pc_order verdicts;
+        redundant_masks = List.filter_map redundant_mask (List.init n Fun.id);
       }
   with Err e -> Error e

@@ -196,6 +196,158 @@ let prop_tnum_within_mask =
       (not (Tnum.within_mask tx m))
       || List.for_all (fun x -> Int64.logand x m = x) [ x1; x2 ])
 
+(* The kernel's recursive tnum_mul, kept here as the reference for the
+   loop in Tnum.mul. *)
+let tnum_mul_reference (a : Tnum.t) (b : Tnum.t) =
+  let open Int64 in
+  let rec go (a : Tnum.t) (b : Tnum.t) acc =
+    if a.value = 0L && a.mask = 0L then acc
+    else
+      let acc =
+        if logand a.value 1L <> 0L then Tnum.add acc (Tnum.make ~value:0L ~mask:b.mask)
+        else if logand a.mask 1L <> 0L then
+          Tnum.add acc (Tnum.make ~value:0L ~mask:(logor b.value b.mask))
+        else acc
+      in
+      go (Tnum.rshift a 1) (Tnum.lshift b 1) acc
+  in
+  Tnum.add (Tnum.const (mul a.value b.value)) (go a b (Tnum.const 0L))
+
+let prop_tnum_mul_reference =
+  QCheck.Test.make ~count:1000 ~name:"tnum mul matches the recursive form"
+    QCheck.(pair arb_tnum2 arb_tnum2)
+    (fun ((_, tx), (_, ty)) ->
+      Tnum.equal (Tnum.mul tx ty) (tnum_mul_reference tx ty))
+
+let prop_tnum_within_range =
+  QCheck.Test.make ~count:1000 ~name:"within_range is subset of range"
+    QCheck.(triple arb_tnum2 arb_i64 arb_i64)
+    (fun ((_, t), a, b) ->
+      let lo, hi = if Int64.unsigned_compare a b <= 0 then (a, b) else (b, a) in
+      Tnum.within_range t lo hi = Tnum.subset t (Tnum.range lo hi))
+
+(* ---- join and its inclusion test ------------------------------------------ *)
+
+(* Values over a handful of small constants, so that generated pairs are
+   often included in one another and [leq] is exercised both ways. *)
+let gen_value =
+  QCheck.Gen.(
+    let small = oneofl [ 0L; 1L; 255L ] in
+    let range = map2 (fun a b -> Range.join (Range.const a) (Range.const b)) small small in
+    frequency
+      [
+        (1, return Value.Uninit);
+        (1, return Value.Unknown);
+        (3, map (fun r -> Value.Scalar r) range);
+        ( 4,
+          map3
+            (fun kind off nullable -> Value.Ptr { kind; off; nullable })
+            (oneofl [ Value.Ctx; Value.Stack; Value.Heap ])
+            range bool );
+        ( 2,
+          map3
+            (fun klass id nullable -> Value.Obj { klass; id; nullable })
+            (oneofl [ "sock"; "lock" ]) (int_range 1 2) bool );
+      ])
+
+(* The value join spelled out case by case, without the shortcut through
+   [Value.leq] that [Value.join] takes, as an independent reference. *)
+let reference_join (a : Value.t) (b : Value.t) : Value.t =
+  match (a, b) with
+  | Uninit, _ | _, Uninit -> Uninit
+  | Scalar x, Scalar y -> Scalar (Range.join x y)
+  | Unknown, (Scalar _ | Unknown | Ptr { kind = Heap; _ })
+  | (Scalar _ | Ptr { kind = Heap; _ }), Unknown ->
+      Unknown
+  | Ptr p, Ptr q when p.kind = q.kind ->
+      Ptr
+        {
+          kind = p.kind;
+          off = Range.join p.off q.off;
+          nullable = p.nullable || q.nullable;
+        }
+  | Ptr { kind = Heap; _ }, Scalar _ | Scalar _, Ptr { kind = Heap; _ } ->
+      Unknown
+  | Obj o, Obj p when o.klass = p.klass && o.id = p.id ->
+      Obj { o with nullable = o.nullable || p.nullable }
+  | _ -> Uninit
+
+(* independent pairs, and pairs one side of which is a join with the other *)
+let arb_value_pair =
+  let pp = Format.asprintf "%a" Value.pp in
+  QCheck.make
+    ~print:(fun (a, b) -> pp a ^ " , " ^ pp b)
+    QCheck.Gen.(
+      triple gen_value gen_value (int_bound 2) >|= fun (a, c, k) ->
+      match k with
+      | 0 -> (a, c)
+      | 1 -> (a, reference_join c a)
+      | _ -> (reference_join c a, a))
+
+let prop_value_leq_exact =
+  QCheck.Test.make ~count:5000 ~name:"Value.leq a b iff join b a = b"
+    arb_value_pair
+    (fun (a, b) ->
+      Value.leq a b = Value.equal (reference_join b a) b
+      && Value.equal (Value.join b a) (reference_join b a))
+
+(* Small states: registers and four stack slots drawn from [gen_value],
+   origins from {-1, 0}, one optional held resource. *)
+let gen_state =
+  QCheck.Gen.(
+    let slot =
+      frequency
+        [
+          (2, return State.S_empty);
+          (1, return State.S_misc);
+          ( 3,
+            map
+              (function Value.Uninit -> State.S_empty | v -> State.S_spill v)
+              gen_value );
+        ]
+    in
+    map4
+      (fun regs slots origin held ->
+        let st = State.init ~ctx_nullable:false in
+        let stack = Array.copy st.State.stack in
+        List.iteri (fun i s -> stack.(i) <- s) slots;
+        {
+          State.regs = Array.of_list regs;
+          stack;
+          origin = Array.of_list origin;
+          res =
+            (if held then [ { State.id = 1; klass = "lock"; destructor = "unlock" } ]
+             else []);
+        })
+      (list_repeat 11 gen_value) (list_repeat 4 slot)
+      (list_repeat 11 (oneofl [ -1; 0 ]))
+      (frequency [ (4, return false); (1, return true) ]))
+
+(* Independent pairs, pairs sharing a resource set (so the join is
+   defined), pairs one side of which is a join with the other (so [leq]
+   holds), and such pairs with the join's stack or origins replaced (so
+   the registers pass and the rest decides). *)
+let arb_state_pair =
+  QCheck.(
+    map
+      (fun (a, b, k) ->
+        let a' = { a with State.res = b.State.res } in
+        match (k, State.join b a') with
+        | 0, _ -> (a, b)
+        | 1, _ -> (a', b)
+        | 2, Ok c -> (a', c)
+        | 3, Ok c -> (a', { c with State.stack = b.State.stack })
+        | _, Ok c -> (a', { c with State.origin = b.State.origin })
+        | _, Error _ -> assert false)
+      (triple (make gen_state) (make gen_state) (int_bound 4)))
+
+let prop_state_leq_exact =
+  QCheck.Test.make ~count:3000 ~name:"State.leq a b iff join b a = b"
+    arb_state_pair
+    (fun (a, b) ->
+      State.leq a b
+      = match State.join b a with Ok c -> State.equal c b | Error _ -> false)
+
 (* refine and negate_cond partition concrete pairs: exactly one of the two
    refinements accepts (a, b), and the accepting one admits it. *)
 let prop_refine_negate_consistent =
@@ -254,6 +406,23 @@ let prop_const_exact =
           = Some (conc a b))
         ops)
 
+let test_zext () =
+  List.iter
+    (fun tnum ->
+      Fun.protect
+        ~finally:(fun () -> Range.set_tnum true)
+        (fun () ->
+          Range.set_tnum tnum;
+          List.iter
+            (fun w ->
+              let hi = Int64.(sub (shift_left 1L (8 * w)) 1L) in
+              Alcotest.(check bool)
+                (Printf.sprintf "zext %d (tnum %b)" w tnum)
+                true
+                (Range.equal (Range.zext w) (Range.unsigned 0L hi)))
+            [ 1; 2; 4 ]))
+    [ true; false ]
+
 let test_fits_unsigned () =
   let r = Range.unsigned 10L 100L in
   Alcotest.(check bool) "inside" true (Range.fits_unsigned r ~lo:0L ~hi:100L);
@@ -279,6 +448,7 @@ let () =
          [
            Alcotest.test_case "fits_unsigned" `Quick test_fits_unsigned;
            Alcotest.test_case "mask-scale-add bounds" `Quick test_masking_bounds;
+           Alcotest.test_case "zext = unsigned" `Quick test_zext;
          ] );
      ]
     @ [
@@ -295,5 +465,10 @@ let () =
             @ [
                 prop_tnum_neg; prop_tnum_const_exact; prop_tnum_range;
                 prop_tnum_lattice; prop_tnum_within_mask;
+                prop_tnum_mul_reference; prop_tnum_within_range;
               ]) );
+        ( "join props",
+          List.map QCheck_alcotest.to_alcotest
+            [ prop_value_leq_exact; prop_state_leq_exact ]
+        );
       ])

@@ -418,6 +418,44 @@ let t_multiple_locks () =
          exit_;
        ])
 
+(* A lock parked in r6 on one path and in r7 on the other, with r0
+   overwritten on both: after the join no register holds it on every path,
+   so the runtime could not release it on cancellation. *)
+let t_join_leak_message () =
+  match
+    verify
+      [
+        ldx Insn.U32 R8 R1 0;
+        call "kflex_heap_base";
+        mov R1 R0;
+        call "kflex_spin_lock";
+        jmpi Insn.Eq R8 0L "other";
+        mov R6 R0;
+        movi R0 0L;
+        ja "join";
+        label "other";
+        mov R7 R0;
+        movi R0 0L;
+        label "join";
+        exit_;
+      ]
+  with
+  | Ok _ -> Alcotest.fail "expected a join-leak error"
+  | Error e ->
+      Alcotest.(check string) "kind" "leak" (Verify.error_kind_name e.Verify.kind);
+      let msg = e.Verify.msg in
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "join-leak message" true (contains "no common location");
+      Alcotest.(check bool)
+        (Printf.sprintf "no double space in %S" msg)
+        false (contains "  ")
+
 (* --- bpf_map_lock / bpf_map_unlock pairing ------------------------------- *)
 
 (* Stack key at fp-8, lock fd 3: the [bpf_map_lock] calling convention. *)
@@ -1456,6 +1494,43 @@ let prop_sanitize_idempotent =
       | Some off -> off >= 0L && off < 65536L
       | None -> false)
 
+(* --- allocation gate ---------------------------------------------------- *)
+
+(* Minor-heap words allocated by one verification of each §5.1 tenant, as
+   admission runs it (OCaml 5.1.1, the release profile dune-workspace
+   pins). Before the fixpoint was made allocation-light this test measured
+   988,222 (redis) and 132,417 (memcached) words; it now measures 254,330
+   and 46,470, and each bound is that figure plus 5 %. Lower a bound when
+   the figure drops; never raise one. *)
+let alloc_bounds =
+  [
+    ("redis", Kflex_apps.Redis.source, Kflex_kernel.Hook.Sk_skb, 267_047.);
+    ("memcached", Kflex_apps.Memcached.kflex_source, Kflex_kernel.Hook.Xdp, 48_794.);
+  ]
+
+let t_alloc_gate () =
+  List.iter
+    (fun (name, src, hook, bound) ->
+      let prog = (Kflex_eclang.Compile.compile_string ~name src).prog in
+      let run () =
+        Verify.run ~mode:Verify.Kflex ~contracts:Kflex.contracts
+          ~ctx_size:Kflex_kernel.Hook.ctx_size
+          ~heap_size:(Int64.shift_left 1L 24)
+          ~sleepable:(Kflex_kernel.Hook.sleepable hook) prog
+      in
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let r = run () in
+      let words = Gc.minor_words () -. before in
+      (match r with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s rejected: %a" name Verify.pp_error e);
+      Printf.printf "%s: %.0f minor words per verification\n" name words;
+      if words > bound then
+        Alcotest.failf "%s: %.0f minor words per verification, bound %.0f" name
+          words bound)
+    alloc_bounds
+
 let () =
   Alcotest.run "verifier"
     [
@@ -1520,6 +1595,7 @@ let () =
           Alcotest.test_case "balanced lock in loop" `Quick
             t_lock_balanced_in_loop;
           Alcotest.test_case "multiple locks" `Quick t_multiple_locks;
+          Alcotest.test_case "join leak message" `Quick t_join_leak_message;
           Alcotest.test_case "map lock paired" `Quick t_map_lock_paired;
           Alcotest.test_case "map lock missing unlock" `Quick
             t_map_lock_missing_unlock;
@@ -1604,6 +1680,7 @@ let () =
           Alcotest.test_case "chain reachable clean" `Quick
             t_lc_chain_reachable_clean;
         ] );
+      ("allocation", [ Alcotest.test_case "verify words" `Quick t_alloc_gate ]);
       ( "contracts",
         [
           Alcotest.test_case "base registry well-formed" `Quick
