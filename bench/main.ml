@@ -464,6 +464,27 @@ let engine_bench ~smoke =
           ~dst_port:9 b)
       opseq
   in
+  (* 32 clients over one single-server lane per shard; service time is the
+     cost of really running the chain on the event's shard *)
+  let closed_loop eng pkts =
+    Kflex_sim.Closed_loop.run
+      {
+        Kflex_sim.Closed_loop.clients = 32;
+        workers = 1;
+        rtt_ns = 2_000.;
+        requests = events;
+        lane_of = Kflex_engine.Engine.shard_of eng;
+        gen = (fun i -> pkts.(i));
+        service_ns =
+          (fun p ->
+            Kflex_kernel.Cost.xdp_service_ns
+              ~compute_ns:
+                (float_of_int (Kflex_engine.Engine.run_packet eng p).cost
+                *. Kflex_kernel.Cost.insn_ns)
+              ~reply:false);
+        gc = None;
+      }
+  in
   let run_config compiled ~shards ~chain =
     let eng = Kflex_engine.Engine.create ~shards () in
     let handles =
@@ -481,16 +502,7 @@ let engine_bench ~smoke =
               Format.kasprintf failwith "engine bench: rejected: %a"
                 Kflex_verifier.Verify.pp_error e)
     in
-    let res =
-      Kflex_sim.Closed_loop.run_engine ~clients:32 ~rtt_ns:2_000.
-        ~requests:events
-        ~gen:(fun i -> pkts.(i))
-        ~ns_of_cost:(fun c ->
-          Kflex_kernel.Cost.xdp_service_ns
-            ~compute_ns:(float_of_int c *. Kflex_kernel.Cost.insn_ns)
-            ~reply:false)
-        eng
-    in
+    let res = closed_loop eng pkts in
     let tot = Kflex_engine.Engine.totals eng in
     List.iter (fun h -> Kflex_engine.Engine.detach eng h) handles;
     (res, tot)
@@ -635,16 +647,7 @@ fn prog(c: ctx) -> u64 {
     | Error e ->
         Format.kasprintf failwith "engine bench (%s): rejected: %a" name
           Kflex_verifier.Verify.pp_error e);
-    let res =
-      Kflex_sim.Closed_loop.run_engine ~clients:32 ~rtt_ns:2_000.
-        ~requests:events
-        ~gen:(fun i -> pkts.(i))
-        ~ns_of_cost:(fun c ->
-          Kflex_kernel.Cost.xdp_service_ns
-            ~compute_ns:(float_of_int c *. Kflex_kernel.Cost.insn_ns)
-            ~reply:false)
-        eng
-    in
+    let res = closed_loop eng pkts in
     let tot = Kflex_engine.Engine.totals eng in
     Kflex_engine.Engine.shutdown eng;
     (res, tot)

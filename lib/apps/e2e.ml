@@ -41,7 +41,7 @@ let run_cell ?(clients = default_clients) ~workers ~requests ~gc ~service
       workers;
       rtt_ns = 4000.0;
       requests;
-      warmup_frac = 0.1;
+      lane_of = (fun _ -> 0);
       gen = (fun i -> gen_arr.(i));
       service_ns = service;
       gc;

@@ -135,39 +135,24 @@ let ty_of_fty = function
 
 type hkind = K_ctx | K_u64
 
-let helper_sigs : (string * (hkind list * bool)) list =
-  [
-    ("pkt_len", ([ K_ctx ], true));
-    ("pkt_read_u8", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u16", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u32", ([ K_ctx; K_u64 ], true));
-    ("pkt_read_u64", ([ K_ctx; K_u64 ], true));
-    ("pkt_write_u8", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u16", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u32", ([ K_ctx; K_u64; K_u64 ], false));
-    ("pkt_write_u64", ([ K_ctx; K_u64; K_u64 ], false));
-    ("bpf_sk_lookup_udp", ([ K_ctx; K_u64; K_u64; K_u64; K_u64 ], true));
-    ("bpf_sk_lookup_tcp", ([ K_ctx; K_u64; K_u64; K_u64; K_u64 ], true));
-    ("bpf_sk_release", ([ K_u64 ], false));
-    ("kflex_malloc", ([ K_u64 ], true));
-    ("kflex_free", ([ K_u64 ], false));
-    ("kflex_spin_lock", ([ K_u64 ], true));
-    ("kflex_spin_unlock", ([ K_u64 ], false));
-    ("kflex_heap_base", ([], true));
-    ("bpf_ktime_get_ns", ([], true));
-    ("bpf_get_prandom_u32", ([], true));
-    ("bpf_get_smp_processor_id", ([], true));
-    ("bpf_map_lookup", ([ K_u64; K_u64; K_u64 ], true));
-    ("bpf_map_update", ([ K_u64; K_u64; K_u64 ], true));
-    ("bpf_map_delete", ([ K_u64; K_u64 ], true));
-    ("bpf_map_lock", ([ K_u64; K_u64 ], true));
-    ("bpf_map_unlock", ([ K_u64 ], false));
-    ("bpf_map_sum", ([ K_u64; K_u64; K_u64 ], true));
-  ]
+(* Derived from the verifier's contracts, so eclang knows exactly the
+   helpers a program may call: a ctx argument is passed through, every
+   other argument is a u64 expression. *)
+let helper_sigs =
+  List.map
+    (fun (c : Kflex_verifier.Contract.t) ->
+      ( c.name,
+        List.map
+          (function Kflex_verifier.Contract.A_ctx -> K_ctx | _ -> K_u64)
+          c.args ))
+    Kflex_verifier.Contract.kflex_base
 
+(* the KFlex runtime API (Table 2): meaningless without a heap *)
 let heap_helpers =
-  [ "kflex_malloc"; "kflex_free"; "kflex_spin_lock"; "kflex_spin_unlock";
-    "kflex_heap_base" ]
+  List.filter_map
+    (fun (name, _) ->
+      if String.starts_with ~prefix:"kflex_" name then Some name else None)
+    helper_sigs
 
 (* --- expression compilation ---------------------------------------------- *)
 
@@ -475,7 +460,7 @@ and eval_call cg env name args =
               | None -> fail "unknown function or helper %s" name)))
 
 and emit_helper_call cg env name args =
-  let kinds, _has_ret =
+  let kinds =
     match List.assoc_opt name helper_sigs with
     | Some s -> s
     | None -> fail "unknown helper %s" name

@@ -268,7 +268,7 @@ let seed_shard t ~shard ?(vtime = 0L) prandom =
 
 (* Quiescence: an attach/detach/replace publishes generation [g]; an old
    snapshot can only be in use by a shard mid-event. Deterministic mode runs
-   events synchronously inside run_packet/run_on, so publication alone is
+   events synchronously inside run_packet, so publication alone is
    quiescence. Threaded mode waits until every shard has either observed
    [g] or is provably idle (empty queue, not executing) — it will read the
    new snapshot before its next event. *)
@@ -395,7 +395,6 @@ let replace t h ?name ?mode ?options ?globals_size ?quantum ?heap_size ?kbase
               Ok h'))
 
 let handle_name h = h.aname
-let handle_hook h = h.ahook
 let instance h ~shard = h.instances.(shard)
 
 (* --- event delivery ----------------------------------------------------- *)
@@ -411,15 +410,13 @@ let shard_of t (pkt : Packet.t) =
   in
   (h land max_int) mod t.nshards
 
-let run_on t ~shard ?(hook = Hook.Xdp) pkt =
+let run_packet t ?(hook = Hook.Xdp) pkt =
   if t.mode <> `Deterministic then
-    invalid_arg "Engine.run_on: deterministic mode only (use submit)";
+    invalid_arg "Engine.run_packet: deterministic mode only (use submit)";
   let snap = Atomic.get t.snapshot in
-  let s = t.shards.(shard) in
+  let s = t.shards.(shard_of t pkt) in
   Atomic.set s.seen_gen (Chain.generation snap);
   exec_event t s snap ~hook pkt
-
-let run_packet t ?hook pkt = run_on t ~shard:(shard_of t pkt) ?hook pkt
 
 let submit t ?(hook = Hook.Xdp) ?on_done pkt =
   if t.mode <> `Threaded then
@@ -479,11 +476,6 @@ type totals = {
 
 let shard_stats t shard = t.shards.(shard).stats
 let shard_events t shard = t.shards.(shard).events
-let shard_cancelled t shard = t.shards.(shard).cancelled
-
-let shard_verdicts t shard =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.shards.(shard).verdicts []
-  |> List.sort compare
 
 (* Aggregation is read-side only: shards mutate nothing but their own
    records on the hot path; totals fold copies after a drain. *)

@@ -128,17 +128,11 @@ val shard_of : t -> Kflex_kernel.Packet.t -> int
 
 val run_packet :
   t -> ?hook:Kflex_kernel.Hook.kind -> Kflex_kernel.Packet.t -> run_result
-(** Deliver one event to its flow shard's chain (default hook [Xdp]),
-    synchronously. Deterministic mode only. *)
-
-val run_on :
-  t ->
-  shard:int ->
-  ?hook:Kflex_kernel.Hook.kind ->
-  Kflex_kernel.Packet.t ->
-  run_result
-(** Like {!run_packet} on an explicit shard — the DES closed loop routes
-    placement itself. Deterministic mode only. *)
+(** Deliver one event to its flow shard ({!shard_of}) chain (default hook
+    [Xdp]), synchronously. Deterministic mode only: raises
+    [Invalid_argument] on a threaded engine. Virtual-time models put one
+    service lane per shard ([lane_of = shard_of eng]) and take the
+    returned [cost] as service time. *)
 
 val submit :
   t ->
@@ -176,8 +170,6 @@ val shards : t -> int
 val mode : t -> mode
 val shard_stats : t -> int -> Kflex_runtime.Vm.stats
 val shard_events : t -> int -> int
-val shard_cancelled : t -> int -> int
-val shard_verdicts : t -> int -> (int64 * int) list
 
 val socket_refs : t -> int
 (** Outstanding socket references across every live instance — 0 between
@@ -197,7 +189,6 @@ val seed_shard : t -> shard:int -> ?vtime:int64 -> int64 -> unit
     extension's equally seeded streams, or two engines event by event. *)
 
 val handle_name : handle -> string
-val handle_hook : handle -> Kflex_kernel.Hook.kind
 
 val instance : handle -> shard:int -> Kflex.loaded
 (** The per-shard instantiation behind an attachment (tests inspect heaps

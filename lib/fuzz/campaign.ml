@@ -48,43 +48,18 @@ let layout_config rng =
     dst_port;
   }
 
-let shrink_failure cfg (f : Oracle.failure) items =
+(* ddmin over an item list, keeping candidates that still assemble and on
+   which [still_fails] holds; the input is returned unshrunk when it does
+   not fail to begin with. *)
+let shrink still_fails items =
   let check cand =
     match Gen.assemble cand with
     | exception _ -> false
-    | prog -> (
-        match Oracle.run_case cfg prog with
-        | Oracle.Fail f' -> f'.Oracle.oracle = f.Oracle.oracle
-        | _ -> false)
+    | prog -> still_fails prog
   in
   if check items then Shrink.shrink ~check items else items
 
-(* The chain oracle rides on accepted cases: a second program drawn from the
-   continuation of the case's generation stream (the master stream is
-   untouched, so single-program cases reproduce exactly as before) forms a
-   2-program chain checked engine-vs-facade. Chain failures shrink the
-   second program with the first held fixed. *)
-let shrink_chain_partner cfg prog1 items2 =
-  let check cand =
-    match Gen.assemble cand with
-    | exception _ -> false
-    | p2 -> (
-        match Oracle.chain_equiv cfg prog1 p2 with
-        | Oracle.Fail _ -> true
-        | _ -> false)
-  in
-  if check items2 then Shrink.shrink ~check items2 else items2
-
-let shrink_shared cfg items =
-  let check cand =
-    match Gen.assemble cand with
-    | exception _ -> false
-    | p -> (
-        match Oracle.shared_equiv cfg p with
-        | Oracle.Fail _ -> true
-        | _ -> false)
-  in
-  if check items then Shrink.shrink ~check items else items
+let is_fail = function Oracle.Fail _ -> true | _ -> false
 
 let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
     ~seed ~count () =
@@ -117,9 +92,13 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
         match verdict with
         | Oracle.Pass ->
             incr accepted;
-            (* both riders draw from the continuation of the case's
-               generation stream, in a fixed order, so every case (and its
-               reproducers) stays deterministic in (seed, count) *)
+            (* Two riders on accepted cases: a 2-program chain checked
+               engine-vs-facade (its failures shrink the second program
+               with the first held fixed) and a shared-map program. Both
+               draw from the continuation of the case's generation stream,
+               in a fixed order, so every case (and its reproducers) stays
+               deterministic in (seed, count); the master stream is
+               untouched. *)
             let items2 =
               Gen.generate ~rng:gen_rng ~heap_size:cfg.Oracle.heap_size
                 ~port:cfg.Oracle.port ()
@@ -140,7 +119,11 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
                     log
                       (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
                          f.Oracle.detail);
-                    let small2 = shrink_chain_partner cfg prog items2 in
+                    let small2 =
+                      shrink
+                        (fun p2 -> is_fail (Oracle.chain_equiv cfg prog p2))
+                        items2
+                    in
                     let path =
                       Filename.concat out_dir
                         (Printf.sprintf "case_%d_chain.kfxr" i)
@@ -186,7 +169,9 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
                     log
                       (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
                          f.Oracle.detail);
-                    let small = shrink_shared cfg items_s in
+                    let small =
+                      shrink (fun p -> is_fail (Oracle.shared_equiv cfg p)) items_s
+                    in
                     let path =
                       Filename.concat out_dir
                         (Printf.sprintf "case_%d_shared.kfxr" i)
@@ -207,7 +192,14 @@ let run ?(out_dir = ".") ?(log = fun _ -> ()) ?(threaded_shared = false)
             incr failures;
             log (Printf.sprintf "case %d: FAIL [%s] %s" i f.Oracle.oracle
                    f.Oracle.detail);
-            let small = shrink_failure cfg f items in
+            let small =
+              shrink
+                (fun p ->
+                  match Oracle.run_case cfg p with
+                  | Oracle.Fail f' -> f'.Oracle.oracle = f.Oracle.oracle
+                  | _ -> false)
+                items
+            in
             let path =
               Filename.concat out_dir
                 (Printf.sprintf "case_%d_%s.kfxr" i f.Oracle.oracle)

@@ -1157,8 +1157,6 @@ let run_case_stats_exn cfg prog =
                             | Some f -> (Fail f, flagged)
                             | None -> (Pass, flagged)))))))
 
-let run_case_exn cfg prog = fst (run_case_stats_exn cfg prog)
-
 let run_case_stats cfg prog =
   try run_case_stats_exn cfg prog
   with e ->

@@ -76,10 +76,6 @@ val run_case_stats : config -> Kflex_bpf.Prog.t -> verdict * int
     reported on the program (0 for rejected programs) — the campaign's
     [flagged] counter. *)
 
-val run_case_exn : config -> Kflex_bpf.Prog.t -> verdict
-(** Like {!run_case}, but harness exceptions propagate — so a debugger (or a
-    test) sees the backtrace instead of a [Fail] with oracle ["harness"]. *)
-
 val chain_equiv : config -> Kflex_bpf.Prog.t -> Kflex_bpf.Prog.t -> verdict
 (** The chain oracle: a 2-program chain executed by a one-shard
     {!Kflex_engine.Engine} must be observationally equivalent to running

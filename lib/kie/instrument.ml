@@ -216,5 +216,3 @@ let run ?(options = default_options) (analysis : Verify.analysis) =
   done;
   let tables = Array.init n (fun pc -> table_of_res_at analysis pc) in
   { prog = prog'; cps; report; pc_map; orig_of_new; tables }
-
-let cp_of_pc t pc = Array.find_opt (fun cp -> cp.new_pc = pc) t.cps

@@ -17,8 +17,8 @@
       destructor the runtime must invoke to release each (§3.3/§4.3).
 
     Every heap access is also a C2 cancellation point (the accessed page may
-    be unpopulated); [cp_of_pc] maps any faulting instrumented pc to its
-    object table. *)
+    be unpopulated); the unwinder maps any faulting instrumented pc to its
+    object table through [orig_of_new] and [tables]. *)
 
 type options = {
   performance_mode : bool;  (** do not guard reads (§3.2) *)
@@ -72,6 +72,3 @@ type t = {
 }
 
 val run : ?options:options -> Kflex_verifier.Verify.analysis -> t
-
-val cp_of_pc : t -> int -> cp option
-(** The cancellation point covering a faulting instrumented pc. *)

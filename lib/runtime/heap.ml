@@ -21,7 +21,9 @@ type t = {
   lim8 : int64;
 }
 
-exception Fault of { addr : int64; reason : string }
+type fault = Wild_address | Guard_zone_hit | Unpopulated_page
+
+exception Fault of { addr : int64; reason : fault }
 
 let page_size = 4096
 let page_size64 = 4096L
@@ -138,10 +140,6 @@ let populate h ~off ~len =
     | None -> set_page h idx (Bytes.make page_size '\000')
   done
 
-let page_populated h off =
-  let idx = Int64.to_int (Int64.div off page_size64) in
-  idx >= 0 && idx < h.npages && get_page h idx <> None
-
 let populated_bytes h = Int64.of_int (h.npop * page_size)
 
 (* Deterministic view of the backed pages, sorted by index (the array walk
@@ -224,10 +222,10 @@ let rec write_off h ~width off v =
    in-heap, so plain int arithmetic replaces the Int64 div/rem pair. *)
 let check_ext h addr width =
   match offset_of_addr h addr with
-  | None -> fault addr "access outside any heap mapping"
+  | None -> fault addr Wild_address
   | Some off ->
       if off < 0L || Int64.add off (Int64.of_int width) > h.size then
-        fault addr "guard zone access";
+        fault addr Guard_zone_hit;
       off
 
 let check_pages h addr o width =
@@ -236,7 +234,7 @@ let check_pages h addr o width =
   for idx = first to last do
     match get_page h idx with
     | Some _ -> ()
-    | None -> fault addr "unpopulated heap page"
+    | None -> fault addr Unpopulated_page
   done
 
 let read h ~width addr =
@@ -245,7 +243,7 @@ let read h ~width addr =
   let inpage = o land (page_size - 1) in
   if inpage + width <= page_size then begin
     match get_page h (o lsr page_shift) with
-    | None -> fault addr "unpopulated heap page"
+    | None -> fault addr Unpopulated_page
     | Some p -> (
         match width with
         | 1 -> Int64.of_int (Char.code (Bytes.get p inpage))
@@ -273,7 +271,7 @@ let[@inline always] read8 h addr =
     let o = Int64.to_int off in
     match page_at h (o lsr page_shift) with
     | Some p -> Int64.of_int (Char.code (U64.get8 p (o land (page_size - 1))))
-    | None -> fault addr "unpopulated heap page"
+    | None -> fault addr Unpopulated_page
   end
   else read h ~width:1 addr
 
@@ -285,7 +283,7 @@ let[@inline always] read16 h addr =
     if inpage <= page_size - 2 then
       match page_at h (o lsr page_shift) with
       | Some p -> Int64.of_int (U64.get16 p inpage)
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else read h ~width:2 addr
   end
   else read h ~width:2 addr
@@ -300,7 +298,7 @@ let[@inline always] read32 h addr =
       | Some p ->
           Int64.logand (Int64.of_int32 (U64.get32 p inpage))
             0xffff_ffffL
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else read h ~width:4 addr
   end
   else read h ~width:4 addr
@@ -313,7 +311,7 @@ let[@inline always] read64 h addr =
     if inpage <= page_size - 8 then
       match page_at h (o lsr page_shift) with
       | Some p -> U64.get64 p inpage
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else read h ~width:8 addr
   end
   else read h ~width:8 addr
@@ -324,7 +322,7 @@ let write h ~width addr v =
   let inpage = o land (page_size - 1) in
   if inpage + width <= page_size then begin
     match get_page h (o lsr page_shift) with
-    | None -> fault addr "unpopulated heap page"
+    | None -> fault addr Unpopulated_page
     | Some p -> (
         match width with
         | 1 -> Bytes.set p inpage (Char.chr (Int64.to_int (Int64.logand v 0xffL)))
@@ -347,7 +345,7 @@ let[@inline always] write8 h addr v =
     | Some p ->
         U64.set8 p (o land (page_size - 1))
           (Char.unsafe_chr (Int64.to_int (Int64.logand v 0xffL)))
-    | None -> fault addr "unpopulated heap page"
+    | None -> fault addr Unpopulated_page
   end
   else write h ~width:1 addr v
 
@@ -360,7 +358,7 @@ let[@inline always] write16 h addr v =
       match page_at h (o lsr page_shift) with
       | Some p ->
           U64.set16 p inpage (Int64.to_int (Int64.logand v 0xffffL))
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else write h ~width:2 addr v
   end
   else write h ~width:2 addr v
@@ -373,7 +371,7 @@ let[@inline always] write32 h addr v =
     if inpage <= page_size - 4 then
       match page_at h (o lsr page_shift) with
       | Some p -> U64.set32 p inpage (Int64.to_int32 v)
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else write h ~width:4 addr v
   end
   else write h ~width:4 addr v
@@ -386,7 +384,7 @@ let[@inline always] write64 h addr v =
     if inpage <= page_size - 8 then
       match page_at h (o lsr page_shift) with
       | Some p -> U64.set64 p inpage v
-      | None -> fault addr "unpopulated heap page"
+      | None -> fault addr Unpopulated_page
     else write h ~width:8 addr v
   end
   else write h ~width:8 addr v

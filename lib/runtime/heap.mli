@@ -15,7 +15,12 @@
 
 type t
 
-exception Fault of { addr : int64; reason : string }
+(** Why an extension access faulted, in check order: the address lies
+    outside every heap mapping, in a guard zone, or on a page that is not
+    populated. *)
+type fault = Wild_address | Guard_zone_hit | Unpopulated_page
+
+exception Fault of { addr : int64; reason : fault }
 
 val page_size : int
 (** 4096. *)
@@ -53,9 +58,6 @@ val offset_of_addr : t -> int64 -> int64 option
 
 val populate : t -> off:int64 -> len:int64 -> unit
 (** Back all pages covering [off, off+len) (allocator / mmap path). *)
-
-val page_populated : t -> int64 -> bool
-(** Whether the page containing this offset is populated (in-range only). *)
 
 val populated_bytes : t -> int64
 (** Physical memory currently backing the heap (the cgroup accounting of

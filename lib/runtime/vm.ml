@@ -435,10 +435,9 @@ let unwind e (st : Machine.state) exn =
   let reason =
     match exn with
     | Vm_fault r -> r
-    | Heap.Fault { reason; _ } ->
-        if reason = "unpopulated heap page" then Page_fault
-        else if reason = "guard zone access" then Guard_zone
-        else Wild_access
+    | Heap.Fault { reason = Heap.Unpopulated_page; _ } -> Page_fault
+    | Heap.Fault { reason = Heap.Guard_zone_hit; _ } -> Guard_zone
+    | Heap.Fault { reason = Heap.Wild_address; _ } -> Wild_access
     | _ -> assert false
   in
   let regs = st.Machine.regs in

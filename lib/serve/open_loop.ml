@@ -274,30 +274,61 @@ type outcome = {
 
 let ns_of_cost c = float_of_int c *. Cost.insn_ns
 
+(* splitmix64 finalizer over [h xor x]: one step of the verdict digest *)
+let mix h x =
+  let open Int64 in
+  let z = add (logxor h x) 0x9E3779B97F4A7C15L in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+(* Virtual time: shards are independent FIFO lanes. Requests arrive sorted
+   by schedule time, so FIFO order within a shard is global arrival order
+   and one pass suffices: each request starts at [max arrival free_at] and
+   holds its shard for the chain's real executed cost. Latency runs from
+   the scheduled arrival, queueing included. The digest folds (index,
+   verdict, cancelled) of every request in arrival order. *)
 let run_deterministic ?(shards = 1) cfg =
   let reqs = generate cfg in
-  let events =
-    Array.map
-      (fun r ->
-        { Kflex_sim.Open_loop.at_ns = r.gen_ns; hook = r.hook; pkt = r.pkt })
-      reqs
-  in
   let eng = make_engine cfg ~mode:`Deterministic ~shards in
-  let r = Kflex_sim.Open_loop.run_engine ~ns_of_cost eng events in
+  let free_at = Array.make shards 0.0 in
+  let lat = Array.init shards (fun _ -> Stats.create ()) in
+  let digest = ref 0x6b5f5a3f2c9d1e47L in
+  let t_end = ref 0.0 in
+  Array.iteri
+    (fun idx r ->
+      let sh = Engine.shard_of eng r.pkt in
+      let start = Float.max r.gen_ns free_at.(sh) in
+      let res = Engine.run_packet eng ~hook:r.hook r.pkt in
+      let fin = start +. ns_of_cost res.Engine.cost in
+      free_at.(sh) <- fin;
+      if fin > !t_end then t_end := fin;
+      Stats.add lat.(sh) ((fin -. r.gen_ns) /. 1000.0);
+      digest := mix !digest (Int64.of_int idx);
+      digest := mix !digest res.Engine.verdict;
+      digest := mix !digest (Int64.of_int res.Engine.cancelled))
+    reqs;
   let t = Engine.totals eng in
   Engine.shutdown eng;
+  let merged = Array.fold_left Stats.merge (Stats.create ()) lat in
+  let completed = Stats.count merged in
+  (* [generate] returns at least one request *)
+  let span_ns = !t_end -. reqs.(0).gen_ns in
   {
     offered_rps = cfg.rate;
-    achieved_rps = r.Kflex_sim.Open_loop.throughput_mops *. 1e6;
-    mean_us = r.Kflex_sim.Open_loop.mean_us;
-    p50_us = r.Kflex_sim.Open_loop.p50_us;
-    p99_us = r.Kflex_sim.Open_loop.p99_us;
-    p999_us = r.Kflex_sim.Open_loop.p999_us;
-    completed = r.Kflex_sim.Open_loop.completed;
+    achieved_rps =
+      (if span_ns > 0.0 then float_of_int completed /. span_ns *. 1000.0
+       else 0.0)
+      *. 1e6;
+    mean_us = Stats.mean merged;
+    p50_us = Stats.percentile merged 0.50;
+    p99_us = Stats.percentile merged 0.99;
+    p999_us = Stats.percentile merged 0.999;
+    completed;
     cancelled = t.Engine.cancelled;
     leaked = t.Engine.leaked;
-    digest = r.Kflex_sim.Open_loop.digest;
-    span_s = r.Kflex_sim.Open_loop.span_ns /. 1e9;
+    digest = !digest;
+    span_s = span_ns /. 1e9;
   }
 
 let run_threaded ?(shards = 1) cfg =

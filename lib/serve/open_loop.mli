@@ -75,8 +75,11 @@ type outcome = {
 val ns_of_cost : int -> float
 
 val run_deterministic : ?shards:int -> config -> outcome
-(** Virtual-time run via {!Kflex_sim.Open_loop.run_engine}: same seed ⇒
-    bit-identical outcome, digest included. *)
+(** Virtual-time run on a [`Deterministic] engine: shards are FIFO lanes,
+    each request starts at [max arrival lane_free] and holds its shard for
+    {!ns_of_cost} of the chain's executed cost; latency runs from the
+    scheduled arrival. Same seed ⇒ bit-identical outcome, including the
+    digest over every request's (index, verdict, cancelled). *)
 
 val run_threaded : ?shards:int -> config -> outcome
 (** Wall-clock run: requests submitted to shard domains when the clock

@@ -1,9 +1,11 @@
+module Stats = Kflex_workload.Stats
+
 type 'req config = {
   clients : int;
   workers : int;
   rtt_ns : float;
   requests : int;
-  warmup_frac : float;
+  lane_of : 'req -> int;
   gen : int -> 'req;
   service_ns : 'req -> float;
   gc : (float * float) option;
@@ -17,26 +19,53 @@ type result = {
   completed : int;
 }
 
+(* fraction of requests, by issue order, left out of the measurement *)
+let warmup_frac = 0.1
+
 type 'req job = { req : 'req; issue : float; idx : int }
+
+(* One service lane: a FIFO queue in front of [workers] anonymous servers,
+   their GC deadlines and the lane's own latency recorder. *)
+type 'req lane = {
+  queue : 'req job Queue.t;
+  mutable free : int;
+  next_gc : float array;
+  lat : Stats.t;
+}
 
 let run (cfg : 'req config) =
   if cfg.clients <= 0 || cfg.workers <= 0 || cfg.requests <= 0 then
     invalid_arg "Closed_loop.run";
   let des = Des.create () in
-  let lat = Kflex_workload.Stats.create () in
-  let warmup = int_of_float (cfg.warmup_frac *. float_of_int cfg.requests) in
+  let warmup = int_of_float (warmup_frac *. float_of_int cfg.requests) in
   let issued = ref 0 in
   let completed = ref 0 in
   let t_first = ref nan and t_last = ref 0.0 in
-  let queue : 'req job Queue.t = Queue.create () in
-  let free = ref cfg.workers in
-  (* per-worker GC deadlines; workers are anonymous, so track the [gc]
-     pauses as a pool-wide token bucket: one pause per worker per period *)
-  let next_gc = Array.make cfg.workers infinity in
-  (match cfg.gc with
-  | Some (period, _) ->
-      Array.iteri (fun i _ -> next_gc.(i) <- period *. (1.0 +. (float_of_int i /. float_of_int cfg.workers))) next_gc
-  | None -> ());
+  let new_lane () =
+    {
+      queue = Queue.create ();
+      free = cfg.workers;
+      (* per-worker GC deadlines; workers are anonymous, so track the [gc]
+         pauses as a lane-wide token bucket: one pause per worker per
+         period *)
+      next_gc =
+        (match cfg.gc with
+        | Some (period, _) ->
+            Array.init cfg.workers (fun i ->
+                period *. (1.0 +. (float_of_int i /. float_of_int cfg.workers)))
+        | None -> [||]);
+      lat = Stats.create ();
+    }
+  in
+  (* lanes are created on first use, indexed by [lane_of] *)
+  let lanes = ref [||] in
+  let lane i =
+    let old = !lanes in
+    let n = Array.length old in
+    if i >= n then
+      lanes := Array.init (i + 1) (fun j -> if j < n then old.(j) else new_lane ());
+    !lanes.(i)
+  in
   let rec issue_next () =
     if !issued < cfg.requests then begin
       let idx = !issued in
@@ -47,12 +76,13 @@ let run (cfg : 'req config) =
           arrival { req; issue; idx })
     end
   and arrival job =
-    if !free > 0 then begin
-      decr free;
-      start_service job
+    let l = lane (cfg.lane_of job.req) in
+    if l.free > 0 then begin
+      l.free <- l.free - 1;
+      start_service l job
     end
-    else Queue.push job queue
-  and start_service job =
+    else Queue.push job l.queue
+  and start_service l job =
     (* find a worker owing a GC pause *)
     let gc_delay =
       match cfg.gc with
@@ -60,27 +90,27 @@ let run (cfg : 'req config) =
       | Some (period, pause) ->
           let now = Des.now des in
           let due = ref (-1) in
-          Array.iteri (fun i t -> if !due < 0 && t <= now then due := i) next_gc;
+          Array.iteri (fun i t -> if !due < 0 && t <= now then due := i) l.next_gc;
           if !due >= 0 then begin
-            next_gc.(!due) <- now +. period;
+            l.next_gc.(!due) <- now +. period;
             pause
           end
           else 0.0
     in
     let s = cfg.service_ns job.req in
-    Des.schedule des ~delay:(gc_delay +. s) (fun () -> complete job)
-  and complete job =
+    Des.schedule des ~delay:(gc_delay +. s) (fun () -> complete l job)
+  and complete l job =
     (* response travels back; worker picks up queued work immediately *)
-    (match Queue.take_opt queue with
-    | Some next -> start_service next
-    | None -> incr free);
+    (match Queue.take_opt l.queue with
+    | Some next -> start_service l next
+    | None -> l.free <- l.free + 1);
     Des.schedule des ~delay:(cfg.rtt_ns /. 2.0) (fun () ->
         let now = Des.now des in
         incr completed;
         if job.idx >= warmup then begin
           if Float.is_nan !t_first then t_first := now;
           t_last := now;
-          Kflex_workload.Stats.add lat ((now -. job.issue) /. 1000.0)
+          Stats.add l.lat ((now -. job.issue) /. 1000.0)
         end;
         issue_next ())
   in
@@ -88,94 +118,18 @@ let run (cfg : 'req config) =
     Des.schedule des ~delay:0.0 issue_next
   done;
   Des.run des;
+  (* per-lane recorders fold in lane order *)
+  let lat =
+    Array.fold_left (fun acc l -> Stats.merge acc l.lat) (Stats.create ()) !lanes
+  in
   let span_ns = !t_last -. !t_first in
-  let counted = Kflex_workload.Stats.count lat in
+  let counted = Stats.count lat in
   {
     throughput_mops =
       (if span_ns > 0.0 then float_of_int (counted - 1) /. span_ns *. 1000.0
        else 0.0);
-    mean_us = Kflex_workload.Stats.mean lat;
-    p50_us = Kflex_workload.Stats.percentile lat 0.50;
-    p99_us = Kflex_workload.Stats.percentile lat 0.99;
-    completed = !completed;
-  }
-
-(* The engine-driven closed loop: same client population and FIFO law, but
-   the server side is the engine's shard array rather than an anonymous
-   worker pool — one service lane per shard, placement by the engine's flow
-   hash, per-shard FIFO queues. Service work really executes the chain
-   ([Engine.run_on], deterministic mode) and its cost converts to virtual
-   time through [ns_of_cost], so the scaling curve reflects the actual
-   per-event instruction mix. Latency is recorded into per-shard recorders
-   and folded with [Stats.merge] at the end, mirroring how the engine keeps
-   its own hot-path stats shard-local. *)
-let run_engine ~clients ~rtt_ns ~requests ?(warmup_frac = 0.1)
-    ?(hook = Kflex_kernel.Hook.Xdp) ~gen ~ns_of_cost eng =
-  if clients <= 0 || requests <= 0 then invalid_arg "Closed_loop.run_engine";
-  let nshards = Kflex_engine.Engine.shards eng in
-  let des = Des.create () in
-  let lat = Array.init nshards (fun _ -> Kflex_workload.Stats.create ()) in
-  let warmup = int_of_float (warmup_frac *. float_of_int requests) in
-  let issued = ref 0 in
-  let completed = ref 0 in
-  let t_first = ref nan and t_last = ref 0.0 in
-  let queues :
-      Kflex_kernel.Packet.t job Queue.t array =
-    Array.init nshards (fun _ -> Queue.create ())
-  in
-  let busy = Array.make nshards false in
-  let rec issue_next () =
-    if !issued < requests then begin
-      let idx = !issued in
-      incr issued;
-      let req = gen idx in
-      let issue = Des.now des in
-      Des.schedule des ~delay:(rtt_ns /. 2.0) (fun () ->
-          arrival { req; issue; idx })
-    end
-  and arrival job =
-    let sh = Kflex_engine.Engine.shard_of eng job.req in
-    if busy.(sh) then Queue.push job queues.(sh)
-    else begin
-      busy.(sh) <- true;
-      start_service sh job
-    end
-  and start_service sh job =
-    let r = Kflex_engine.Engine.run_on eng ~shard:sh ~hook job.req in
-    Des.schedule des
-      ~delay:(ns_of_cost r.Kflex_engine.Engine.cost)
-      (fun () -> complete sh job)
-  and complete sh job =
-    (match Queue.take_opt queues.(sh) with
-    | Some next -> start_service sh next
-    | None -> busy.(sh) <- false);
-    Des.schedule des ~delay:(rtt_ns /. 2.0) (fun () ->
-        let now = Des.now des in
-        incr completed;
-        if job.idx >= warmup then begin
-          if Float.is_nan !t_first then t_first := now;
-          t_last := now;
-          Kflex_workload.Stats.add lat.(sh) ((now -. job.issue) /. 1000.0)
-        end;
-        issue_next ())
-  in
-  for _ = 1 to clients do
-    Des.schedule des ~delay:0.0 issue_next
-  done;
-  Des.run des;
-  let merged =
-    Array.fold_left Kflex_workload.Stats.merge
-      (Kflex_workload.Stats.create ())
-      lat
-  in
-  let span_ns = !t_last -. !t_first in
-  let counted = Kflex_workload.Stats.count merged in
-  {
-    throughput_mops =
-      (if span_ns > 0.0 then float_of_int (counted - 1) /. span_ns *. 1000.0
-       else 0.0);
-    mean_us = Kflex_workload.Stats.mean merged;
-    p50_us = Kflex_workload.Stats.percentile merged 0.50;
-    p99_us = Kflex_workload.Stats.percentile merged 0.99;
+    mean_us = Stats.mean lat;
+    p50_us = Stats.percentile lat 0.50;
+    p99_us = Stats.percentile lat 0.99;
     completed = !completed;
   }

@@ -1,7 +1,10 @@
 (** Closed-loop load generation over the DES (the paper's testbed shape,
     §5): a fixed population of clients each keeps exactly one request
-    outstanding; the server runs a fixed number of worker threads; requests
-    queue FIFO when all workers are busy.
+    outstanding; requests go to the service lane [lane_of req], and each
+    lane runs [workers] servers behind its own FIFO queue. One lane
+    ([fun _ -> 0]) is the paper's worker pool; one lane per engine shard
+    with [workers = 1] ([lane_of = Engine.shard_of eng]) is the per-CPU
+    shard model of the engine scaling benchmark.
 
     The [service_ns] callback is expected to {e actually execute} the
     request against the system under test (run the extension in the VM, or
@@ -11,14 +14,18 @@
 
     [gc] optionally models the co-designed auxiliary slow path of §5.3: per
     worker, every [period] ns the worker stalls for [pause] ns (the
-    user-space garbage collector contending with the fast path). *)
+    user-space garbage collector contending with the fast path).
+
+    The first 10% of requests (by issue order) are not measured. Each lane
+    records its own latencies; the result folds them with
+    {!Kflex_workload.Stats.merge} in lane order. *)
 
 type 'req config = {
   clients : int;
-  workers : int;
+  workers : int;  (** servers per lane *)
   rtt_ns : float;
   requests : int;  (** total requests to issue *)
-  warmup_frac : float;  (** fraction of early completions discarded (0.1) *)
+  lane_of : 'req -> int;  (** service lane of a request, [>= 0] *)
   gen : int -> 'req;
   service_ns : 'req -> float;
   gc : (float * float) option;  (** (period_ns, pause_ns) *)
@@ -33,21 +40,3 @@ type result = {
 }
 
 val run : 'req config -> result
-
-val run_engine :
-  clients:int ->
-  rtt_ns:float ->
-  requests:int ->
-  ?warmup_frac:float ->
-  ?hook:Kflex_kernel.Hook.kind ->
-  gen:(int -> Kflex_kernel.Packet.t) ->
-  ns_of_cost:(int -> float) ->
-  Kflex_engine.Engine.t ->
-  result
-(** Closed loop over a (deterministic-mode) engine: one service lane per
-    shard with its own FIFO queue, events placed by the engine's flow hash,
-    and {!Kflex_engine.Engine.run_on} as the service function — the charged
-    chain cost becomes service time via [ns_of_cost]. Shards serve their
-    queues concurrently in virtual time, which is what the scaling-curve
-    benchmark measures; latency is folded across shards with
-    {!Kflex_workload.Stats.merge}. *)

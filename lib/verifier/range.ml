@@ -19,7 +19,6 @@ let smax_ = Int64.max
    degenerates to the seed's pure interval analysis. *)
 let tnum_enabled = ref true
 let set_tnum enabled = tnum_enabled := enabled
-let tnum_on () = !tnum_enabled
 
 let top =
   {

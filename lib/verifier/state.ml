@@ -13,6 +13,18 @@ type t = {
 
 let nslots = Prog.stack_size / 8
 
+let slot_of_full_store disp width =
+  let b = Prog.stack_size + disp in
+  if width = 8 && b >= 0 && b + 8 <= Prog.stack_size && b mod 8 = 0 then
+    Some (b / 8)
+  else None
+
+let overlapping_slots disp width =
+  let b = Prog.stack_size + disp in
+  let lo = max 0 b and hi = min Prog.stack_size (b + width) in
+  if hi <= lo then []
+  else List.init (((hi - 1) / 8) - (lo / 8) + 1) (fun i -> (lo / 8) + i)
+
 let init ~ctx_nullable =
   let regs = Array.make 11 Value.Uninit in
   regs.(1) <-

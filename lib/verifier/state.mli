@@ -31,6 +31,15 @@ type t = {
 
 val nslots : int
 
+val slot_of_full_store : int -> int -> int option
+(** [slot_of_full_store disp width]: the slot an access at [r10 + disp]
+    overwrites whole — an aligned 8-byte store inside the frame — or
+    [None]. *)
+
+val overlapping_slots : int -> int -> int list
+(** The slots, ascending, that bytes [r10 + disp .. + width - 1] touch
+    inside the frame. *)
+
 val init : ctx_nullable:bool -> t
 (** The entry state: [r1] = context pointer, [r10] = frame pointer, all other
     registers uninitialised, empty stack, no resources. *)

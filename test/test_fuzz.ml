@@ -85,7 +85,7 @@ let t_oracle_pass () =
 (* The containment oracle must reject a harness-visible lie. We check the
    plumbing indirectly: a program the verifier accepts whose concrete
    behaviour is fine still exercises states_at on every insn (run above),
-   so here we only make sure Fail propagates from run_case_exn's wrapper. *)
+   so here we only make sure run_case turns a harness exception into Fail. *)
 let t_oracle_harness_catch () =
   (* a config the heap rejects: kbase not size-aligned *)
   let cfg = { Oracle.default_config with Oracle.kbase = 0x4000_0000_1000L } in

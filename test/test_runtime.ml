@@ -40,8 +40,7 @@ let t_heap_demand_paging () =
   let h = Heap.create ~size:65536L () in
   Alcotest.(check int64) "empty" 0L (Heap.populated_bytes h);
   (match Heap.read h ~width:8 (Heap.kbase h) with
-  | exception Heap.Fault { reason; _ } ->
-      Alcotest.(check string) "unpopulated" "unpopulated heap page" reason
+  | exception Heap.Fault { reason = Heap.Unpopulated_page; _ } -> ()
   | _ -> Alcotest.fail "expected fault");
   Heap.populate h ~off:0L ~len:1L;
   Alcotest.(check int64) "one page" 4096L (Heap.populated_bytes h);
@@ -52,8 +51,7 @@ let t_heap_guard_zone () =
   Heap.populate h ~off:0L ~len:4096L;
   (* just past the heap end but within the guard zone: Fault, not escape *)
   (match Heap.read h ~width:8 (Int64.add (Heap.kbase h) 4096L) with
-  | exception Heap.Fault { reason; _ } ->
-      Alcotest.(check string) "guard" "guard zone access" reason
+  | exception Heap.Fault { reason = Heap.Guard_zone_hit; _ } -> ()
   | _ -> Alcotest.fail "expected guard-zone fault");
   (match Heap.read h ~width:8 (Int64.sub (Heap.kbase h) 8L) with
   | exception Heap.Fault _ -> ()
@@ -66,8 +64,7 @@ let t_heap_guard_zone () =
 let t_heap_wild () =
   let h = Heap.create ~size:4096L () in
   match Heap.write h ~width:8 0x1234L 1L with
-  | exception Heap.Fault { reason; _ } ->
-      Alcotest.(check string) "wild" "access outside any heap mapping" reason
+  | exception Heap.Fault { reason = Heap.Wild_address; _ } -> ()
   | _ -> Alcotest.fail "expected wild fault"
 
 let prop_heap_rw_roundtrip =

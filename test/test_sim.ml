@@ -52,7 +52,7 @@ let run_cl ?(clients = 64) ?(workers = 4) ?(gc = None) ~service requests =
       workers;
       rtt_ns = 1000.0;
       requests;
-      warmup_frac = 0.1;
+      lane_of = (fun _ -> 0);
       gen = (fun i -> i);
       service_ns = (fun _ -> service);
       gc;
@@ -122,7 +122,7 @@ let t_closed_loop_deterministic () =
         workers = 4;
         rtt_ns = 1000.0;
         requests = 5_000;
-        warmup_frac = 0.1;
+        lane_of = (fun _ -> 0);
         gen = (fun i -> i);
         service_ns =
           (fun _ -> 500.0 +. (Kflex_workload.Rng.float rng *. 1500.0));
@@ -164,6 +164,67 @@ let t_closed_loop_faster_service_wins () =
   Alcotest.(check bool) "latency" true
     (fast.Closed_loop.p99_us < slow.Closed_loop.p99_us)
 
+(* --- service lanes ------------------------------------------------------- *)
+
+(* A rare slow request class: one request in 250 holds a server for 200 us,
+   the rest for 1 us. On its own lane it cannot delay the fast class, whose
+   p99 (the slow class is under 1% of samples) stays at the fast-only
+   figure; sharing the fast class's lane, it queues fast requests behind
+   it and the p99 becomes the slow service time. *)
+let t_lanes_isolate_slow_class () =
+  let run ~lane_of ~slow_every =
+    Closed_loop.run
+      {
+        Closed_loop.clients = 8;
+        workers = 1;
+        rtt_ns = 1000.0;
+        requests = 20_000;
+        lane_of;
+        gen = (fun i -> slow_every > 0 && i mod slow_every = 0);
+        service_ns = (fun slow -> if slow then 200_000.0 else 1000.0);
+        gc = None;
+      }
+  in
+  let fast_only = run ~lane_of:(fun _ -> 0) ~slow_every:0 in
+  let shared = run ~lane_of:(fun _ -> 0) ~slow_every:250 in
+  let split = run ~lane_of:(fun slow -> if slow then 1 else 0) ~slow_every:250 in
+  (* within the recorder's bucket error: past 1024 samples it reports
+     bucket midpoints *)
+  Alcotest.(check bool) "own lane: fast p99 unchanged" true
+    (split.Closed_loop.p99_us
+    <= fast_only.Closed_loop.p99_us
+       *. (1.0 +. Kflex_workload.Stats.relative_error));
+  Alcotest.(check bool) "shared lane: slow class sets the p99" true
+    (shared.Closed_loop.p99_us > 100.0
+    && shared.Closed_loop.p99_us > 10.0 *. split.Closed_loop.p99_us);
+  Alcotest.(check int) "all completed" 20_000 split.Closed_loop.completed
+
+(* Saturated single-server lanes: requests spread round-robin over [k]
+   lanes complete k times as fast. *)
+let t_lanes_scale_throughput () =
+  let run k =
+    Closed_loop.run
+      {
+        Closed_loop.clients = 64;
+        workers = 1;
+        rtt_ns = 1000.0;
+        requests = 20_000;
+        lane_of = (fun i -> i mod k);
+        gen = (fun i -> i);
+        service_ns = (fun _ -> 1000.0);
+        gc = None;
+      }
+  in
+  let tp k = (run k).Closed_loop.throughput_mops in
+  let one = tp 1 in
+  Alcotest.(check bool) "one lane ~ 1 MOps" true (abs_float (one -. 1.0) < 0.1);
+  List.iter
+    (fun k ->
+      let ratio = tp k /. one in
+      if abs_float (ratio -. float_of_int k) > 0.1 *. float_of_int k then
+        Alcotest.failf "%d lanes: %.2fx of one lane" k ratio)
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -194,5 +255,12 @@ let () =
           Alcotest.test_case "gc pauses" `Quick t_closed_loop_gc_pauses;
           Alcotest.test_case "service ordering" `Quick
             t_closed_loop_faster_service_wins;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "slow lane isolated" `Quick
+            t_lanes_isolate_slow_class;
+          Alcotest.test_case "throughput scales with lanes" `Quick
+            t_lanes_scale_throughput;
         ] );
     ]
